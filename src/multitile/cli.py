@@ -296,24 +296,23 @@ def cmd_dual(domain_path, v_text, q_text, eta_text, n_text, s_pos, grid_n, out_p
     click.echo(f"label = {_vec_str(label)}")
 
     pts = []
-    vals = []
     regions = []
     rows = []
     row = 0
     for ci, us in sample_grid(domain, grid_n):
         for u in us:
             for r in range(1, domain.k + 1):
-                y = omega(domain, r, u)
-                pts.append(y)
-                vals.append(dual_eval(domain, shifts, n, s_pos, y))
+                pts.append(omega(domain, r, u))
                 regions.append(r)
                 rows.append(row)
             row += 1
+    pts = np.asarray(pts, dtype=float).reshape(-1, d)
+    vals = dual_eval(domain, shifts, n, s_pos, pts)
     click.echo(f"evaluated {len(pts)} points")
     if out_path:
         result = ReconstructionResult(
-            points=np.asarray(pts),
-            values=np.asarray(vals, dtype=complex),
+            points=pts,
+            values=vals,
             source_rows=np.asarray(rows, dtype=int),
             regions=np.asarray(regions, dtype=int),
             residuals=np.full(row, np.nan),

@@ -16,7 +16,6 @@ the nested Vandermonde recursion, which only ever solves 1D systems.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -155,6 +154,14 @@ def reconstruct_direct(V, F) -> np.ndarray:
         raise SingularMatrix(f"dense solve failed: {exc}") from None
 
 
+def _solve_columns(vectors, order, delta, rhs) -> np.ndarray:
+    """Nested solve of V y = rhs for a (k, N) matrix of data columns in
+    shift index order; returns (k, N) values in frequency-vector order."""
+    data = {j: rhs[i] for i, j in enumerate(order)}
+    solved = nested_solve(vectors, data, tuple(np.asarray(delta, dtype=float)))
+    return np.array([solved[v] for v in vectors])
+
+
 def reconstruct_point(tree: FrequencyTree, delta, F) -> np.ndarray:
     """Nested solve of V y = F for one point's data vector.
 
@@ -164,19 +171,15 @@ def reconstruct_point(tree: FrequencyTree, delta, F) -> np.ndarray:
     """
     from .freqtree import shift_index_set
 
-    vectors = tree.frequencies.vectors
+    order = shift_index_set(tree).indices
     if isinstance(F, Mapping):
-        data = dict(F)
-    else:
-        order = shift_index_set(tree).indices
-        F = np.asarray(F, dtype=complex)
-        if F.shape != (len(order),):
-            raise DimensionMismatch(
-                f"data vector must have length {len(order)}, got {F.shape}"
-            )
-        data = {j: F[i] for i, j in enumerate(order)}
-    solved = nested_solve(vectors, data, tuple(np.asarray(delta, dtype=float)))
-    return np.array([solved[v] for v in vectors])
+        F = [F[j] for j in order]
+    F = np.asarray(F, dtype=complex)
+    if F.shape != (len(order),):
+        raise DimensionMismatch(
+            f"data vector must have length {len(order)}, got {F.shape}"
+        )
+    return _solve_columns(tree.frequencies.vectors, order, delta, F[:, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -190,35 +193,19 @@ class ReconstructionResult:
     blocks: dict[int, tuple[tuple[int, float], ...]]  # cell -> per-block (level, kappa)
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is None:
-        env = os.environ.get("MULTITILE_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise SpecFormatError(f"MULTITILE_THREADS must be an integer, got {env!r}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise SpecFormatError(f"worker count must be >= 0, got {workers}")
-    return workers
-
-
 def reconstruct_grid(
     domain: MultiTileDomain,
     shifts: ShiftSet,
     data: SpectralData,
     oracle: bool = False,
-    workers: Optional[int] = None,
 ) -> ReconstructionResult:
     """Reconstruct region values at every data point via nested solves.
 
-    With oracle=True every point is additionally solved densely and the
-    relative difference is reported per data row.  Worker count comes
-    from the MULTITILE_THREADS environment variable when not given
-    (0 means one worker per CPU); rows split across a thread pool.
+    Rows are batched per cell: all usable rows of a cell go through one
+    nested_solve call, so the recursion and its block checks run once
+    per cell, not once per row.  With oracle=True every cell's rows are
+    additionally solved densely and the relative difference is reported
+    per data row.
     """
     vol = domain.lattice.volume
     k = domain.k
@@ -227,91 +214,51 @@ def reconstruct_grid(
         raise DimensionMismatch(
             f"data values must have shape ({n_rows}, {k}), got {data.values.shape}"
         )
-
-    per_cell = {}
-    blocks = {}
-    for ci in np.unique(np.asarray(data.cell_ids, dtype=int)):
-        ci = int(ci)
+    cell_ids = np.asarray(data.cell_ids, dtype=int)
+    present = [int(ci) for ci in np.unique(cell_ids)]
+    for ci in present:
         if ci < 0 or ci >= len(domain.cells):
             raise SpecFormatError(f"data references unknown cell {ci}")
-        cell = domain.cells[ci]
-        fs = make_frequency_set(cell.offsets)
-        order = shifts.index_sets[ci]
-        V = cell_system(domain, shifts, ci).V if oracle else None
-        per_cell[ci] = (fs, order, V, cell.offsets.astype(float))
-        blocks[ci] = tuple(block_conditions(fs.vectors, tuple(shifts.delta)))
 
-    skipped = []
-    usable = []
-    for row in range(n_rows):
-        ci = int(data.cell_ids[row])
-        u = data.points[row]
-        box = domain.cells[ci].box
-        if np.all(u >= box[:, 0]) and np.all(u < box[:, 1]):
-            usable.append(row)
-            continue
+    # rows outside their own cell's box are usable only if they still
+    # locate to that cell (shared box faces)
+    boxes = np.stack([cell.box for cell in domain.cells])[cell_ids]
+    inside = np.all((data.points >= boxes[:, :, 0]) & (data.points < boxes[:, :, 1]), axis=1)
+    usable_mask = inside.copy()
+    for row in np.nonzero(~inside)[0]:
         try:
-            located = cell_index_at(domain, u)
+            usable_mask[row] = cell_index_at(domain, data.points[row]) == cell_ids[row]
         except (PointOnGap, OutOfDomain):
-            skipped.append(row)
-            continue
-        if located == ci:
-            usable.append(row)
-        else:
-            skipped.append(row)
+            pass
+    usable = np.nonzero(usable_mask)[0]
 
-    def solve_row(row: int):
-        ci = int(data.cell_ids[row])
-        fs, order, V, offs = per_cell[ci]
-        rhs = data.values[row] / vol
-        mapping = {j: rhs[i] for i, j in enumerate(order)}
-        solved = nested_solve(fs.vectors, mapping, tuple(shifts.delta))
-        y = np.array([solved[v] for v in fs.vectors])
-        res = np.nan
-        if V is not None:
-            direct = reconstruct_direct(V, rhs)
-            res = float(
-                np.linalg.norm(y - direct) / max(np.linalg.norm(direct), 1e-300)
-            )
-        return y, res
-
-    count = _worker_count(workers)
-    results: dict[int, tuple[np.ndarray, float]] = {}
-    if count > 1 and len(usable) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            for row, out in zip(usable, pool.map(solve_row, usable)):
-                results[row] = out
-    else:
-        for row in usable:
-            results[row] = solve_row(row)
-
-    d = domain.dimension
-    points = np.empty((len(usable) * k, d))
-    values = np.empty(len(usable) * k, dtype=complex)
-    source = np.empty(len(usable) * k, dtype=int)
-    regions = np.empty(len(usable) * k, dtype=int)
+    usable_cells = cell_ids[usable]
+    values = np.empty((len(usable), k), dtype=complex)
     residuals = np.full(n_rows, np.nan)
-    M = domain.lattice.basis
-    for pos, row in enumerate(usable):
-        ci = int(data.cell_ids[row])
-        _, _, _, offs = per_cell[ci]
-        y, res = results[row]
-        residuals[row] = res
-        u = data.points[row]
-        for r in range(k):
-            i = pos * k + r
-            points[i] = M @ (u + offs[r])
-            values[i] = y[r]
-            source[i] = row
-            regions[i] = r + 1
+    blocks = {}
+    for ci in present:
+        fs = make_frequency_set(domain.cells[ci].offsets)
+        blocks[ci] = tuple(block_conditions(fs.vectors, tuple(shifts.delta)))
+        sel = usable_cells == ci
+        if not sel.any():
+            continue
+        rhs = data.values[usable[sel]].T / vol
+        cols = _solve_columns(fs.vectors, shifts.index_sets[ci], shifts.delta, rhs)
+        values[sel] = cols.T
+        if oracle:
+            direct = reconstruct_direct(cell_system(domain, shifts, ci).V, rhs)
+            residuals[usable[sel]] = np.linalg.norm(cols - direct, axis=0) / np.maximum(
+                np.linalg.norm(direct, axis=0), 1e-300
+            )
+
+    offsets = np.stack([cell.offsets for cell in domain.cells])
+    shifted = data.points[usable][:, None, :] + offsets[usable_cells]
     return ReconstructionResult(
-        points=points,
-        values=values,
-        source_rows=source,
-        regions=regions,
+        points=(shifted @ domain.lattice.basis.T).reshape(-1, domain.dimension),
+        values=values.ravel(),
+        source_rows=np.repeat(usable, k),
+        regions=np.tile(np.arange(1, k + 1), len(usable)),
         residuals=residuals,
-        skipped=tuple(skipped),
+        skipped=tuple(int(row) for row in np.nonzero(~usable_mask)[0]),
         blocks=blocks,
     )

@@ -30,27 +30,52 @@ def _vander_matrix(nodes: np.ndarray) -> np.ndarray:
     return np.vander(nodes, increasing=True).T
 
 
+def _leja_order(x: np.ndarray) -> np.ndarray:
+    """Leja ordering of the nodes: start at the largest modulus, then
+    repeatedly take the node farthest, by product of distances, from
+    those already taken.  The elimination below is only accurate on
+    unit-circle nodes in this order (Reichel, BIT 30, 1990)."""
+    k = x.size
+    order = np.empty(k, dtype=int)
+    order[0] = int(np.argmax(np.abs(x)))
+    taken = np.zeros(k, dtype=bool)
+    taken[order[0]] = True
+    log_dist = np.zeros(k)
+    for i in range(1, k):
+        with np.errstate(divide="ignore"):
+            log_dist += np.log(np.abs(x - x[order[i - 1]]))
+        order[i] = int(np.argmax(np.where(taken, -np.inf, log_dist)))
+        taken[order[i]] = True
+    return order
+
+
 def solve_vandermonde_1d(nodes, rhs) -> np.ndarray:
     """Solve sum_t nodes[t]^s c[t] = rhs[s] for s = 0..k-1.
 
-    Uses the progressive product-form elimination (divided-difference
-    style, O(k^2), no matrix formed for the solve itself).  When the
-    system's condition number exceeds 1e8 an IllConditionedWarning is
-    emitted and a dense partial-pivoting solve is used instead.
+    rhs is one vector (k,) or a matrix (k, N) of N right-hand sides
+    sharing the nodes; the result has the same shape.  Uses the
+    Bjorck-Pereyra progressive product-form elimination (O(k^2) per
+    column, no matrix formed for the solve itself) on the nodes in Leja
+    order.  The node checks run once per call: when the system's
+    condition number exceeds 1e8 an IllConditionedWarning is emitted
+    and a dense partial-pivoting solve is used instead.
     """
-    x = np.asarray(nodes, dtype=complex)
-    b = np.asarray(rhs, dtype=complex)
-    if x.ndim != 1 or x.shape != b.shape:
+    return _solve_1d(np.asarray(nodes, dtype=complex), np.array(rhs, dtype=complex))
+
+
+def _solve_1d(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """solve_vandermonde_1d on complex arrays; b may be overwritten."""
+    if x.ndim != 1 or b.ndim not in (1, 2) or b.shape[0] != x.size:
         raise DimensionMismatch(
-            f"nodes and rhs must be equal-length vectors, got {x.shape} and {b.shape}"
+            f"nodes must be a vector and rhs have as many rows, got {x.shape} and {b.shape}"
         )
     k = x.size
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(x[i] - x[j]) < NODE_TOL:
-                raise DuplicateNodes(f"nodes {i} and {j} coincide: {x[i]}")
+    close = np.argwhere(np.triu(np.abs(x[:, None] - x[None, :]) < NODE_TOL, 1))
+    if len(close):
+        i, j = (int(t) for t in close[0])
+        raise DuplicateNodes(f"nodes {i} and {j} coincide: {x[i]}")
     if k == 1:
-        return b.astype(complex)
+        return b
 
     sig = np.linalg.svd(_vander_matrix(x), compute_uv=False)
     if sig[-1] == 0.0 or sig[0] / sig[-1] > COND_LIMIT:
@@ -59,45 +84,58 @@ def solve_vandermonde_1d(nodes, rhs) -> np.ndarray:
             f"Vandermonde condition number {kappa:.3e} exceeds {COND_LIMIT:.0e}; "
             "falling back to a dense solve",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         try:
             return np.linalg.solve(_vander_matrix(x), b)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(f"dense Vandermonde fallback failed: {exc}") from None
 
-    d = b.copy()
+    order = _leja_order(x)
+    x = x[order]
+    d = b[:, None] if b.ndim == 1 else b
+    # `out` doubles as scratch for the sweeps, so no temporaries are made
+    out = np.empty_like(d)
     n = k - 1
     for kk in range(n):
-        for i in range(n, kk, -1):
-            d[i] -= x[kk] * d[i - 1]
+        buf = out[: n - kk]
+        np.multiply(x[kk], d[kk:n], out=buf)
+        d[kk + 1 :] -= buf
     for kk in range(n - 1, -1, -1):
-        for i in range(kk + 1, n + 1):
-            d[i] /= x[i] - x[i - kk - 1]
-        for i in range(kk, n):
-            d[i] -= d[i + 1]
-    return d
+        d[kk + 1 :] /= (x[kk + 1 :] - x[: n - kk])[:, None]
+        buf = out[: n - kk]
+        buf[...] = d[kk + 1 :]
+        d[kk:n] -= buf
+    out[order] = d
+    return out.reshape(b.shape)
 
 
 def _nodes(values, dl: float) -> np.ndarray:
     return np.exp(-2j * np.pi * dl * np.asarray(values, dtype=float))
 
 
-def nested_solve(vectors, data, delta) -> dict[tuple, complex]:
+def nested_solve(vectors, data, delta) -> dict:
     """Solve the factorized system for one frequency set.
 
     vectors: ordered distinct coordinate tuples (length d)
     data:    mapping from shift index tuples (the set produced by the
-             window recursion on `vectors`) to complex values
+             window recursion on `vectors`) to complex values; every
+             value is a scalar, or every value is an (N,) vector
+             holding N independent systems (rows) that share vectors
+             and delta
     delta:   per-coordinate spacing
 
-    Returns a mapping from frequency vector to its solved value.  The
-    recursion follows the window structure: parents are processed in
-    ascending child-count order; for each parent the recursion solves
-    the suffix system for every index in the parent's window, after
-    subtracting the explicitly evaluated contribution of the already
-    finished parents; the parent's own values then come from one square
-    1D Vandermonde solve over its accumulated window indices.
+    Returns a mapping from frequency vector to its solved value, a
+    scalar or an (N,) vector like the data.  Rows are batched: the
+    recursion, its index windows, the cross-term phases and every 1D
+    block's node checks run once per call, whatever N is.
+
+    The recursion follows the window structure: parents are processed
+    in ascending child-count order; for each parent the recursion
+    solves the suffix system for every index in the parent's window,
+    after subtracting the explicitly evaluated contribution of the
+    already finished parents; the parent's own values then come from
+    one square 1D Vandermonde solve over its accumulated window indices.
     """
     delta = tuple(delta)
     level = len(delta)
@@ -107,44 +145,48 @@ def nested_solve(vectors, data, delta) -> dict[tuple, complex]:
         )
     if level == 1:
         nodes = _nodes([v[0] for v in vectors], delta[0])
-        rhs = [data[(j,)] for j in range(len(vectors))]
-        coeff = solve_vandermonde_1d(nodes, rhs)
+        rhs = np.array([data[(j,)] for j in range(len(vectors))], dtype=complex)
+        coeff = _solve_1d(nodes, rhs)
         return {v: coeff[t] for t, v in enumerate(vectors)}
 
     parents, children, counts, windows = _group(vectors)
     dl = delta[-1]
-    solved: dict[tuple, complex] = {}
+    solved: dict = {}
     # per parent position: accumulated suffix values by last-level index
-    gather: list[dict[int, complex]] = [dict() for _ in parents]
+    gather: list[dict] = [dict() for _ in parents]
     for p, parent in enumerate(parents):
         lo, hi = windows[p]
         if lo < hi:
             suffix = parents[p:]
             sub_keys = _k_index(suffix)
             for j_last in range(lo, hi):
+                # the finished parents' last-level sums at this index
+                evaluated = [
+                    sum(
+                        np.exp(-2j * np.pi * dl * j_last * z) * solved[parents[qq] + (z,)]
+                        for z in children[qq]
+                    )
+                    for qq in range(p)
+                ]
                 sub_data = {}
                 for jj in sub_keys:
                     val = data[jj + (j_last,)]
                     for qq in range(p):
-                        evaluated = sum(
-                            np.exp(-2j * np.pi * dl * j_last * z)
-                            * solved[parents[qq] + (z,)]
-                            for z in children[qq]
-                        )
                         phase = np.exp(
                             -2j
                             * np.pi
                             * sum(dt * jt * mt for dt, jt, mt in zip(delta, jj, parents[qq]))
                         )
-                        val -= phase * evaluated
+                        # not -=: val may be the caller's data array
+                        val = val - phase * evaluated[qq]
                     sub_data[jj] = val
                 sub_solution = nested_solve(suffix, sub_data, delta[:-1])
                 for qq in range(p, len(parents)):
                     gather[qq][j_last] = sub_solution[parents[qq]]
         # the parent's window union so far is exactly 0..counts[p]-1
         nodes = _nodes(children[p], dl)
-        rhs = [gather[p][j] for j in range(counts[p])]
-        coeff = solve_vandermonde_1d(nodes, rhs)
+        rhs = np.array([gather[p][j] for j in range(counts[p])], dtype=complex)
+        coeff = _solve_1d(nodes, rhs)
         for z, c in zip(children[p], coeff):
             solved[parent + (z,)] = c
     return solved

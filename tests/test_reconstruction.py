@@ -1,12 +1,12 @@
-import os
+import warnings
 
 import numpy as np
 import pytest
 
 from multitile import (
     DimensionMismatch,
+    IllConditionedWarning,
     SingularMatrix,
-    SpecFormatError,
     build_tree,
     cell_system,
     check,
@@ -189,20 +189,90 @@ def test_skipped_rows():
     assert len(res.values) == (len(ids) - 1) * dom.k
 
 
-def test_thread_workers_agree(monkeypatch):
+def _mixed_two_cell():
+    # two cells with different shift index sets; cell 0's tree has
+    # parents with unequal child counts, so cross terms are exercised
+    return domain_of(
+        [[1.0, 0.0], [0.0, 1.0]],
+        [
+            ([[0.0, 0.5], [0.0, 1.0]], [[0, 0], [1, 0], [1, 1]]),
+            ([[0.5, 1.0], [0.0, 1.0]], [[0, 0], [0, 1], [0, 2]]),
+        ],
+    )
+
+
+def test_grid_matches_per_row_points():
     rng = np.random.default_rng(55)
-    dom, sh, ids, pts = _setup("strip_3tile_2d", n=5)
+    dom = _mixed_two_cell()
+    sh = make_shifts(dom, find_pair(dom))
+    assert not sh.uniform
+    ids, pts = flatten_grid(sample_grid(dom, 5))
+    ids, pts = ids.copy(), pts.copy()
+    ids[0] = 1 - ids[0]        # claims the wrong cell
+    pts[-1] = [1.5, 0.5]       # outside the domain
     y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
     dat = forward_data(dom, sh, ids, pts, y)
-    seq = reconstruct_grid(dom, sh, dat, workers=1)
-    par = reconstruct_grid(dom, sh, dat, workers=3)
-    assert np.allclose(seq.values, par.values, atol=1e-14)
-    monkeypatch.setenv("MULTITILE_THREADS", "2")
-    env = reconstruct_grid(dom, sh, dat)
-    assert np.allclose(seq.values, env.values, atol=1e-14)
-    monkeypatch.setenv("MULTITILE_THREADS", "soup")
-    with pytest.raises(SpecFormatError):
-        reconstruct_grid(dom, sh, dat)
+    res = reconstruct_grid(dom, sh, dat)
+    assert res.skipped == (0, len(ids) - 1)
+    kept = [row for row in range(len(ids)) if row not in res.skipped]
+    trees = [build_tree(make_frequency_set(c.offsets)) for c in dom.cells]
+    vol = dom.lattice.volume
+    want = np.concatenate(
+        [reconstruct_point(trees[ids[row]], sh.delta, dat.values[row] / vol) for row in kept]
+    )
+    assert np.allclose(res.values, want, rtol=0, atol=1e-14)
+    assert np.allclose(res.values, y[kept].ravel(), rtol=0, atol=1e-12)
+    want_pts = [
+        dom.lattice.basis @ (pts[row] + off) for row in kept for off in dom.cells[ids[row]].offsets
+    ]
+    assert np.allclose(res.points, want_pts, rtol=0, atol=1e-14)
+    assert list(res.source_rows) == [row for row in kept for _ in range(dom.k)]
+    assert list(res.regions) == list(range(1, dom.k + 1)) * len(kept)
+
+
+def test_ill_conditioned_block_warns_once_per_call():
+    dom = ALL["interval_2tile"]()
+    sh = make_shifts(dom, np.array([1e-9]))
+    ids, pts = flatten_grid(sample_grid(dom, 50))
+    y = np.ones((len(ids), dom.k), dtype=complex)
+    dat = forward_data(dom, sh, ids, pts, y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = reconstruct_grid(dom, sh, dat)
+    assert [w.category for w in caught] == [IllConditionedWarning]
+    assert np.all(np.isfinite(res.values))
+
+
+def test_oracle_residuals_match_per_row_dense():
+    rng = np.random.default_rng(56)
+    dom = _mixed_two_cell()
+    sh = make_shifts(dom, find_pair(dom))
+    ids, pts = flatten_grid(sample_grid(dom, 4))
+    y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
+    dat = forward_data(dom, sh, ids, pts, y)
+    res = reconstruct_grid(dom, sh, dat, oracle=True)
+    got = res.values.reshape(len(ids), dom.k)
+    vol = dom.lattice.volume
+    for row, ci in enumerate(ids):
+        direct = reconstruct_direct(cell_system(dom, sh, ci).V, dat.values[row] / vol)
+        want = np.linalg.norm(got[row] - direct) / np.linalg.norm(direct)
+        assert res.residuals[row] == pytest.approx(want, rel=1e-6, abs=1e-15)
+    assert np.max(res.residuals) <= 1e-12
+
+
+def test_cube_d1_k64_round_trip():
+    rng = np.random.default_rng(64)
+    dom = domain_of([[1.0]], [([[0, 1]], [[i] for i in range(64)])])
+    cert = find_pair(dom)
+    assert cert.kind == "perfect"
+    sh = make_shifts(dom, cert)
+    ids, pts = flatten_grid(sample_grid(dom, 32))
+    y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
+    res = reconstruct_grid(dom, sh, forward_data(dom, sh, ids, pts, y), oracle=True)
+    got = res.values.reshape(len(ids), dom.k)
+    err = np.linalg.norm(got - y, axis=1) / np.linalg.norm(y, axis=1)
+    assert np.max(err) <= 1e-10
+    assert np.max(res.residuals) <= 1e-10
 
 
 def test_block_diagnostics_present():

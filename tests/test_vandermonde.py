@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multitile import (
+    DimensionMismatch,
     DuplicateNodes,
     IllConditionedWarning,
     block_conditions,
@@ -36,6 +37,29 @@ def test_roots_of_unity_recovery():
         rhs = _vander(nodes) @ c
         got = solve_vandermonde_1d(nodes, rhs)
         assert np.linalg.norm(got - c) <= 1e-12 * max(1.0, np.linalg.norm(c))
+
+
+def test_roots_of_unity_match_dense_large_k():
+    # natural node order loses all accuracy by k=64; Leja order must not
+    rng = np.random.default_rng(3)
+    for k in (16, 32, 48, 64):
+        nodes = np.exp(-2j * np.pi * np.arange(k) / k)
+        rhs = rng.normal(size=k) + 1j * rng.normal(size=k)
+        got = solve_vandermonde_1d(nodes, rhs)
+        want = np.linalg.solve(_vander(nodes), rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), k
+
+
+def test_matrix_rhs_solves_each_column():
+    rng = np.random.default_rng(5)
+    nodes = np.exp(2j * np.pi * np.array([0.0, 0.3, 0.45, 0.8]))
+    rhs = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    got = solve_vandermonde_1d(nodes, rhs)
+    assert got.shape == (4, 6)
+    for col in range(6):
+        assert np.allclose(got[:, col], solve_vandermonde_1d(nodes, rhs[:, col]), rtol=0, atol=1e-14)
+    with pytest.raises(DimensionMismatch):
+        solve_vandermonde_1d(nodes, rhs[:3])
 
 
 def test_random_unimodular_nodes_match_dense():

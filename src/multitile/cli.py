@@ -19,7 +19,7 @@ from .admissibility import (
     check as check_admissible,
     find_pair,
 )
-from .domain import MultiTileDomain, omega, sample_grid
+from .domain import MultiTileDomain, _region_points, omega, sample_grid
 from .errors import (
     DimensionMismatch,
     DuplicateNodes,
@@ -72,6 +72,10 @@ INPUT_ERRORS = (
     OutOfDomain,
     OSError,
 )
+# largest label-pair count (verify) or sample-row count (dual,
+# synthesize) a command accepts; the work grows linearly with it
+WORK_BUDGET = 10**6
+
 MATH_ERRORS = (
     NoPairFound,
     NonUniformShifts,
@@ -196,6 +200,15 @@ def _check_sidecar_indices(shifts: ShiftSet, meta) -> None:
         )
 
 
+def _check_grid_budget(domain: MultiTileDomain, grid_n: int) -> None:
+    rows = grid_n**domain.dimension * len(domain.cells)
+    if rows > WORK_BUDGET:
+        raise SpecFormatError(
+            f"--grid {grid_n} gives {rows} sample rows (grid^d x cells), "
+            f"over the work budget of {WORK_BUDGET}"
+        )
+
+
 def _vec_str(vec) -> str:
     return "(" + ", ".join(_num_str(x) for x in np.asarray(vec).ravel()) + ")"
 
@@ -292,30 +305,23 @@ def cmd_dual(domain_path, v_text, q_text, eta_text, n_text, s_pos, grid_n, out_p
         raise SpecFormatError(f"--s must lie in 1..{domain.k}, got {s_pos}")
     if grid_n < 1:
         raise SpecFormatError(f"--grid must be positive, got {grid_n}")
+    _check_grid_budget(domain, grid_n)
     label = frequency_vector(domain, shifts, n, s_pos)
     click.echo(f"label = {_vec_str(label)}")
 
-    pts = []
-    regions = []
-    rows = []
-    row = 0
-    for ci, us in sample_grid(domain, grid_n):
-        for u in us:
-            for r in range(1, domain.k + 1):
-                pts.append(omega(domain, r, u))
-                regions.append(r)
-                rows.append(row)
-            row += 1
-    pts = np.asarray(pts, dtype=float).reshape(-1, d)
+    ids, us = flatten_grid(sample_grid(domain, grid_n))
+    pts = _region_points(domain, ids, us)
+    regions = np.tile(np.arange(1, domain.k + 1), len(ids))
+    rows = np.repeat(np.arange(len(ids)), domain.k)
     vals = dual_eval(domain, shifts, n, s_pos, pts)
     click.echo(f"evaluated {len(pts)} points")
     if out_path:
         result = ReconstructionResult(
             points=pts,
             values=vals,
-            source_rows=np.asarray(rows, dtype=int),
-            regions=np.asarray(regions, dtype=int),
-            residuals=np.full(row, np.nan),
+            source_rows=rows,
+            regions=regions,
+            residuals=np.full(len(ids), np.nan),
             skipped=(),
             blocks={},
         )
@@ -334,6 +340,12 @@ def cmd_verify(domain_path, v_text, q_text, eta_text, radius, out_path):
     shifts, _ = _resolve_shifts(domain, v_text, q_text, eta_text)
     if radius < 0:
         raise SpecFormatError(f"--radius must be nonnegative, got {radius}")
+    pairs = (4 * radius + 1) ** domain.dimension * domain.k**2
+    if pairs > WORK_BUDGET:
+        raise SpecFormatError(
+            f"--radius {radius} tests {pairs} label pairs "
+            f"((4r+1)^d k^2), over the work budget of {WORK_BUDGET}"
+        )
     residual = verify_biorthogonality(domain, shifts, radius=radius)
     ortho, dev = is_orthogonal(domain, shifts)
     click.echo(f"max biorthogonality residual = {residual:.6e} (radius {radius})")
@@ -433,6 +445,7 @@ def cmd_synthesize(domain_path, v_text, q_text, eta_text, grid_n, seed, mode,
     shifts, cert = _resolve_shifts(domain, v_text, q_text, eta_text)
     if grid_n < 1:
         raise SpecFormatError(f"--grid must be positive, got {grid_n}")
+    _check_grid_budget(domain, grid_n)
     ids, pts = flatten_grid(sample_grid(domain, grid_n))
     k = domain.k
 

@@ -23,7 +23,7 @@ from .errors import (
     PointOnGap,
     SpecFormatError,
 )
-from .lattice import Lattice, reduce_point
+from .lattice import Lattice, _reduce_rows
 
 BOX_TOL = 1e-12       # geometric comparisons on box faces
 COVER_TOL = 1e-10     # total-volume defect allowed for a partition
@@ -143,14 +143,28 @@ def cell_index_at(domain: MultiTileDomain, u) -> int:
         raise DimensionMismatch(
             f"point has shape {u.shape}, expected ({domain.dimension},)"
         )
-    if np.any(u < 0.0) or np.any(u >= 1.0):
-        raise OutOfDomain(f"point {u} lies outside [0,1)^d")
+    ci = int(_cell_rows(domain, u[None, :])[0])
+    if ci < 0:
+        raise _unowned(u)
+    return ci
+
+
+def _cell_rows(domain: MultiTileDomain, u: np.ndarray) -> np.ndarray:
+    """cell_index_at for every row of an (N, d) array at once, with -1
+    for rows that no box owns.  The first cell whose box holds a row
+    wins."""
+    cells = np.full(len(u), -1)
     for i, c in enumerate(domain.cells):
-        if np.all(u >= c.box[:, 0]) and np.all(u < c.box[:, 1]):
-            return i
-    raise PointOnGap(
-        f"point {u} falls between cell boxes; perturb it off the face"
-    )
+        inside = ((u >= c.box[:, 0]) & (u < c.box[:, 1])).all(axis=1)
+        cells[inside & (cells < 0)] = i
+    return cells
+
+
+def _unowned(u: np.ndarray) -> Exception:
+    """The error for a point u that no cell box owns."""
+    if np.any(u < 0.0) or np.any(u >= 1.0):
+        return OutOfDomain(f"point {u} lies outside [0,1)^d")
+    return PointOnGap(f"point {u} falls between cell boxes; perturb it off the face")
 
 
 def offsets_at(domain: MultiTileDomain, u) -> np.ndarray:
@@ -171,18 +185,56 @@ def omega(domain: MultiTileDomain, r: int, u) -> np.ndarray:
     return domain.lattice.basis @ (u + c.offsets[r - 1])
 
 
+def _region_points(domain: MultiTileDomain, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """omega for every region above every row of an (N, d) array of
+    points owned by the given cells: an (N*k, d) array holding, row by
+    row, the points of regions 1..k."""
+    offsets = np.stack([c.offsets for c in domain.cells])[cells]  # (N, k, d)
+    return ((u[:, None, :] + offsets) @ domain.lattice.basis.T).reshape(-1, domain.dimension)
+
+
 def omega_inverse(domain: MultiTileDomain, y) -> tuple[int, np.ndarray]:
     """Invert omega: find (r, u) with y = M(u + z_r).
 
     Raises OutOfDomain when y does not belong to the domain and
     PointOnGap when its reduction lands between cell boxes.
     """
-    u, z = reduce_point(domain.lattice, y)
-    c = domain.cells[cell_index_at(domain, u)]
-    for r, off in enumerate(c.offsets, start=1):
-        if np.array_equal(off, z):
-            return r, u
-    raise OutOfDomain(f"point {np.asarray(y)} is not in the domain")
+    y = np.asarray(y, dtype=float)
+    if y.shape != (domain.dimension,):
+        raise DimensionMismatch(
+            f"point has shape {y.shape}, lattice dimension is {domain.dimension}"
+        )
+    regions, u, _ = _omega_inverse_rows(domain, y[None, :])
+    return int(regions[0]), u[0]
+
+
+def _omega_inverse_rows(
+    domain: MultiTileDomain, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """omega_inverse for every row of an (N, d) array at once.
+
+    Returns the 1-based regions, the reduced points u and the owning
+    cells.  When rows fail, raises the error omega_inverse raises for
+    the first of them.
+    """
+    u, z = _reduce_rows(domain.lattice, y)
+    cells = _cell_rows(domain, u)
+    regions = np.zeros(len(y), dtype=int)
+    for ci, c in enumerate(domain.cells):
+        here = np.flatnonzero(cells == ci)
+        if len(here) == 0:
+            continue
+        match = z[here, None, 0] == c.offsets[:, 0]  # (rows, k)
+        for ax in range(1, domain.dimension):
+            match &= z[here, None, ax] == c.offsets[:, ax]
+        regions[here] = np.where(match.any(axis=1), match.argmax(axis=1) + 1, 0)
+    bad = np.flatnonzero(regions == 0)
+    if len(bad):
+        i = bad[0]
+        if cells[i] < 0:
+            raise _unowned(u[i])
+        raise OutOfDomain(f"point {y[i]} is not in the domain")
+    return regions, u, cells
 
 
 def sample_grid(domain: MultiTileDomain, n: int) -> list[tuple[int, np.ndarray]]:

@@ -9,6 +9,11 @@ module builds the per-cell system matrices
 
 the explicit biorthogonal dual family, the frame bounds, and the exact
 Gram integrals used to verify all of it in closed form.
+
+The closed-form integrals are batched: one kernel evaluates a whole
+table of them, over a grid of integer label differences times a set of
+real remainders, in chunks of bounded size.  dual_eval likewise
+locates all of its points in one array pass.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .admissibility import AdmissibilityCertificate
-from .domain import MultiTileDomain, cell_index_at, omega_inverse
+from .domain import MultiTileDomain, _omega_inverse_rows, cell_index_at
 from .errors import (
     DimensionMismatch,
     NonUniformShifts,
@@ -31,6 +36,7 @@ from .vandermonde import block_norms
 
 SINGULAR_TOL = 1e-12
 ORTHO_TOL = 1e-10
+CHUNK = 2**11  # table entries per chunk of the closed-form integrals
 
 
 @dataclass(frozen=True)
@@ -233,33 +239,55 @@ def frequency_vector(domain: MultiTileDomain, shifts: ShiftSet, n, s: int) -> np
     return domain.lattice.dual_basis @ (n + shifts.delta * j + shifts.eta_coords)
 
 
-def _phi(theta: float, a: float, b: float) -> complex:
-    """Integral of exp(2 pi i theta t) over [a, b]."""
-    if abs(theta) < 1e-12:
-        return complex(b - a)
-    tp = 2j * np.pi * theta
-    return (np.exp(tp * b) - np.exp(tp * a)) / tp
+def _chunks(total: int, width: int):
+    """Slices over `total` rows of a table `width` entries wide, each
+    holding at most CHUNK entries (but at least one row)."""
+    step = max(1, CHUNK // max(width, 1))
+    for lo in range(0, total, step):
+        yield slice(lo, min(lo + step, total))
 
 
-def _piece_sum(domain: MultiTileDomain, theta: np.ndarray, weights=None) -> complex:
-    """Sum over (cell, region) pieces of the exponential integral
-    int exp(2 pi i <l1-l2, y>) dy, with theta = M^T (l1 - l2).
+def _label_grid(radius: int, d: int) -> np.ndarray:
+    """All integer d-vectors n with |n|_inf <= radius, as rows."""
+    side = 2 * radius + 1
+    return np.indices((side,) * d).reshape(d, -1).T - radius
 
-    weights, when given, is a per-cell array of k complex factors
-    applied to the region terms (used for the dual modulations).
+
+def _piece_table(domain: MultiTileDomain, n, f, weights=None):
+    """Table of piece sums, entry [g, p] for theta = n[g] + f[p],
+    yielded as (rows, block) pairs of at most CHUNK entries each.
+
+    The piece sum of theta = M^T (l1 - l2) is the sum over (cell,
+    region) pieces of the exponential integral int exp(2 pi i <l1-l2,
+    y>) dy.  n is a (G, d) array of integer label differences and f a
+    (P, d) array of real remainders.  Offsets and n are integers, so
+    the lattice phase exp(2 pi i <z_r, theta>) of every piece depends
+    on f alone and is built once; the box integral is a product of
+    one-axis integrals.
+
+    weights, when given, holds per cell a (k, P) array of complex
+    factors applied to the region terms (the dual modulations).
     """
-    det = domain.lattice.volume
-    total = 0.0 + 0.0j
+    n = np.asarray(n, dtype=int).reshape(-1, domain.dimension)
+    f = np.asarray(f, dtype=float).reshape(-1, domain.dimension)
+    lattice = []
     for ci, c in enumerate(domain.cells):
-        box_factor = 1.0 + 0.0j
-        for ax in range(domain.dimension):
-            box_factor *= _phi(float(theta[ax]), float(c.box[ax, 0]), float(c.box[ax, 1]))
-        phases = np.exp(2j * np.pi * (c.offsets.astype(float) @ theta))
-        if weights is None:
-            total += det * box_factor * np.sum(phases)
-        else:
-            total += det * box_factor * np.sum(phases * weights[ci])
-    return complex(total)
+        phases = np.exp(2j * np.pi * (c.offsets.astype(float) @ f.T))  # (k, P)
+        if weights is not None:
+            phases *= weights[ci]
+        lattice.append(domain.lattice.volume * phases.sum(axis=0))
+    for rows in _chunks(len(n), len(f)):
+        theta = n[rows, None, :] + f[None, :, :]  # (g, P, d)
+        tiny = np.abs(theta) < 1e-12
+        tp = 2j * np.pi * np.where(tiny, 1.0, theta)
+        block = 0.0
+        for ci, c in enumerate(domain.cells):
+            part = lattice[ci]
+            for ax, (a, b) in enumerate(c.box):
+                t = tp[:, :, ax]
+                part = part * np.where(tiny[:, :, ax], b - a, (np.exp(t * b) - np.exp(t * a)) / t)
+            block = block + part
+        yield rows, block
 
 
 def gram(domain: MultiTileDomain, l1, l2) -> complex:
@@ -275,7 +303,8 @@ def gram(domain: MultiTileDomain, l1, l2) -> complex:
     if l1.shape != (domain.dimension,) or l2.shape != (domain.dimension,):
         raise DimensionMismatch("frequencies must be d-vectors")
     theta = domain.lattice.basis.T @ (l1 - l2)
-    return _piece_sum(domain, theta)
+    _, block = next(_piece_table(domain, np.zeros(domain.dimension, dtype=int), theta))
+    return complex(block[0, 0])
 
 
 def _dual_weights(domain: MultiTileDomain, shifts: ShiftSet) -> list[np.ndarray]:
@@ -293,7 +322,9 @@ def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> n
     the domain.
 
     On the piece of region r over cell c the dual is the exponential
-    e_l itself times the constant k * V[s, r] * V^{-1}[r, s].
+    e_l itself times the constant k * V[s, r] * V^{-1}[r, s].  All
+    points are located in one pass; if any point is not in the domain,
+    the error is the one omega_inverse raises for the first of them.
     """
     _require_uniform(shifts, "dual evaluation")
     l = frequency_vector(domain, shifts, n, s)
@@ -309,11 +340,13 @@ def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> n
         else:
             pts = pts.reshape(1, -1)
             single = True
-    out = np.empty(pts.shape[0], dtype=complex)
-    for i, y in enumerate(pts):
-        r, u = omega_inverse(domain, y)
-        ci = cell_index_at(domain, u)
-        out[i] = np.exp(2j * np.pi * float(l @ y)) * weights[ci][r - 1, s - 1]
+    if pts.shape[1:] != (domain.dimension,):
+        raise DimensionMismatch(
+            f"points have shape {pts.shape}, expected (N, {domain.dimension})"
+        )
+    regions, _, cells = _omega_inverse_rows(domain, pts)
+    factors = np.stack([w[:, s - 1] for w in weights])  # (cells, k)
+    out = np.exp(2j * np.pi * (pts @ l)) * factors[cells, regions - 1]
     return out[0] if single else out
 
 
@@ -328,21 +361,18 @@ def verify_biorthogonality(
     bounds the label set tested, every tested pair is exact.
     """
     _require_uniform(shifts, "biorthogonality check")
+    if radius < 0:
+        raise SpecFormatError(f"radius must be nonnegative, got {radius}")
     weights = _dual_weights(domain, shifts)
     k = domain.k
     js = np.array(shifts.index_sets[0], dtype=float)
-    delta = shifts.delta
-    measure = domain.measure
-
+    # rows p = (s1, s2): remainder delta*(j_s1 - j_s2), weights conj(W[r, s2])
+    f = (shifts.delta * (js[:, None, :] - js[None, :, :])).reshape(k * k, -1)
+    cols = [np.tile(w.conj(), (1, k)) for w in weights]
+    ndiff = _label_grid(2 * radius, domain.dimension)
     worst = 0.0
-    span = range(-2 * radius, 2 * radius + 1)
-    for dn in np.ndindex(*([len(span)] * domain.dimension)):
-        ndiff = np.array([span[i] for i in dn], dtype=float)
-        for s1 in range(k):
-            for s2 in range(k):
-                theta = ndiff + delta * (js[s1] - js[s2])
-                col = [w[:, s2].conj() for w in weights]
-                val = _piece_sum(domain, theta, col) / measure
-                target = 1.0 if (s1 == s2 and np.all(ndiff == 0.0)) else 0.0
-                worst = max(worst, abs(val - target))
+    for rows, vals in _piece_table(domain, ndiff, f, cols):
+        vals /= domain.measure
+        vals[np.flatnonzero(~ndiff[rows].any(axis=1)), ::k + 1] -= 1.0
+        worst = max(worst, float(np.max(np.abs(vals))))
     return worst

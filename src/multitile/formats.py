@@ -44,10 +44,11 @@ CELL_KEYS = {"box", "offsets"}
 
 
 def _fmt_float(x: float) -> str:
+    x = float(x)
     if not math.isfinite(x):
         raise SpecFormatError(f"cannot serialize non-finite value {x!r}")
     # fold -0.0 into 0.0 so serialize-parse-serialize is byte stable
-    return format(float(x) + 0.0, ".17g")
+    return format(x + 0.0, ".17g")
 
 
 def canonical_json(obj) -> str:
@@ -237,6 +238,10 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
                 values[i, s] = complex(re, im)
         except ValueError as exc:
             raise SpecFormatError(f"{path}: row {i + 2}: {exc}") from None
+    finite = np.isfinite(points).all(axis=1) & np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite)) + 2
+        raise SpecFormatError(f"{path}: row {row}: non-finite point or value")
 
     meta = None
     sidecar = _sidecar_path(path)
@@ -246,6 +251,8 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
                 meta = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SpecFormatError(f"{sidecar}: invalid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise SpecFormatError(f"{sidecar}: expected a JSON object")
     provenance = "exact-pointwise"
     radius = None
     if meta is not None:

@@ -64,7 +64,13 @@ def reduce_point(lattice: Lattice, x) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(
             f"point has shape {x.shape}, lattice dimension is {lattice.dimension}"
         )
-    y = np.linalg.solve(lattice.basis, x)
+    u, z = _reduce_rows(lattice, x[None, :])
+    return u[0], z[0]
+
+
+def _reduce_rows(lattice: Lattice, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """reduce_point for every row of an (N, d) array at once."""
+    y = np.linalg.solve(lattice.basis, x.T).T
     z = np.floor(y)
     u = y - z
     carry = u >= 1.0 - SNAP_TOL

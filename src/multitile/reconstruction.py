@@ -10,8 +10,11 @@ the pointwise value of the per-shift exponential sums of f.  Data can
 be produced exactly from region values (forward_data) or as a radius-
 truncated coefficient sum for a finite exponential combination
 (coefficient_data); the truncated data converges to the exact data as
-the radius grows.  Reconstruction inverts V either densely or through
-the nested Vandermonde recursion, which only ever solves 1D systems.
+the radius grows.  Its inner products come from the batched
+closed-form kernel of expsystem, and the sum over labels is one matrix
+product per chunk of points.  Reconstruction inverts V either densely
+or through the nested Vandermonde recursion, which only ever solves 1D
+systems.
 """
 
 from __future__ import annotations
@@ -21,16 +24,21 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .domain import MultiTileDomain, cell_index_at
+from .domain import MultiTileDomain, _cell_rows, _region_points
 from .errors import (
     DimensionMismatch,
     MultitileError,
-    OutOfDomain,
-    PointOnGap,
     SingularMatrix,
     SpecFormatError,
 )
-from .expsystem import ShiftSet, _piece_sum, _require_uniform, cell_system
+from .expsystem import (
+    ShiftSet,
+    _chunks,
+    _label_grid,
+    _piece_table,
+    _require_uniform,
+    cell_system,
+)
 from .freqtree import FrequencyTree, make_frequency_set
 from .vandermonde import block_conditions, nested_solve, solve_vandermonde_1d
 
@@ -120,23 +128,24 @@ def coefficient_data(
         n_src = np.asarray(n_src, dtype=float)
         if n_src.shape != (d,):
             raise DimensionMismatch(f"coefficient label {n_src} is not a {d}-vector")
+        if np.any(n_src != np.rint(n_src)):
+            raise SpecFormatError(f"coefficient label {n_src} is not an integer vector")
         if not 1 <= int(s_src) <= k:
             raise SpecFormatError(f"shift position {s_src} outside 1..{k}")
-        terms.append((n_src, int(s_src) - 1, complex(c)))
+        terms.append((n_src.astype(int), int(s_src) - 1, complex(c)))
 
-    values = np.zeros((len(cell_ids), k), dtype=complex)
-    span = np.arange(-radius, radius + 1)
-    for idx in np.ndindex(*([len(span)] * d)):
-        n = np.array([span[i] for i in idx], dtype=float)
-        for s in range(k):
-            inner = 0.0 + 0.0j
-            for n_src, s_src, c in terms:
-                theta = (n_src - n) + delta * (js[s_src] - js[s])
-                inner += c * _piece_sum(domain, theta)
-            if inner == 0.0:
-                continue
-            phase = np.exp(2j * np.pi * (points @ (n + delta * js[s] + eta)))
-            values[:, s] += inner * phase
+    # <f, e_(n,s)> over the label grid n, one table row per n
+    labels = _label_grid(radius, d)
+    inner = np.zeros((len(labels), k), dtype=complex)
+    for n_src, s_src, c in terms:
+        for rows, block in _piece_table(domain, n_src - labels, delta * (js[s_src] - js)):
+            inner[rows] += c * block
+    # e_(n,s)(x) = exp(2 pi i <u, n>) * exp(2 pi i <u, delta*j_s + eta>)
+    values = np.empty((len(cell_ids), k), dtype=complex)
+    for rows in _chunks(len(points), len(labels)):
+        u = points[rows]
+        values[rows] = np.exp(2j * np.pi * (u @ labels.T)) @ inner
+        values[rows] *= np.exp(2j * np.pi * (u @ (delta * js + eta).T))
     return SpectralData(
         cell_ids=cell_ids,
         points=points,
@@ -220,16 +229,7 @@ def reconstruct_grid(
         if ci < 0 or ci >= len(domain.cells):
             raise SpecFormatError(f"data references unknown cell {ci}")
 
-    # rows outside their own cell's box are usable only if they still
-    # locate to that cell (shared box faces)
-    boxes = np.stack([cell.box for cell in domain.cells])[cell_ids]
-    inside = np.all((data.points >= boxes[:, :, 0]) & (data.points < boxes[:, :, 1]), axis=1)
-    usable_mask = inside.copy()
-    for row in np.nonzero(~inside)[0]:
-        try:
-            usable_mask[row] = cell_index_at(domain, data.points[row]) == cell_ids[row]
-        except (PointOnGap, OutOfDomain):
-            pass
+    usable_mask = _cell_rows(domain, data.points) == cell_ids
     usable = np.nonzero(usable_mask)[0]
 
     usable_cells = cell_ids[usable]
@@ -251,10 +251,8 @@ def reconstruct_grid(
                 np.linalg.norm(direct, axis=0), 1e-300
             )
 
-    offsets = np.stack([cell.offsets for cell in domain.cells])
-    shifted = data.points[usable][:, None, :] + offsets[usable_cells]
     return ReconstructionResult(
-        points=(shifted @ domain.lattice.basis.T).reshape(-1, domain.dimension),
+        points=_region_points(domain, usable_cells, data.points[usable]),
         values=values.ravel(),
         source_rows=np.repeat(usable, k),
         regions=np.tile(np.arange(1, k + 1), len(usable)),

@@ -83,3 +83,36 @@ def gram_quadrature(lattice_basis, cells, l1, l2, n=800) -> complex:
             y = (M @ (pts + z).T).T
             total += weight * np.sum(np.exp(2j * np.pi * (y @ diff)))
     return total
+
+
+def _phi(theta: float, a: float, b: float) -> complex:
+    """Integral of exp(2 pi i theta t) over [a, b]."""
+    if abs(theta) < 1e-12:
+        return complex(b - a)
+    tp = 2j * np.pi * theta
+    return (np.exp(tp * b) - np.exp(tp * a)) / tp
+
+
+def piece_sum_reference(lattice_basis, cells, theta, weights=None) -> complex:
+    """Scalar closed form of the sum over (cell, region) pieces of
+    int exp(2 pi i <l1-l2, y>) dy, with theta = M^T (l1 - l2).
+
+    One box integral per cell as a product of one-axis integrals, times
+    the lattice phase exp(2 pi i <z_r, theta>) of each region.  weights,
+    when given, is a per-cell array of k complex factors applied to the
+    region terms.
+    """
+    det = abs(np.linalg.det(np.asarray(lattice_basis, dtype=float)))
+    theta = np.asarray(theta, dtype=float)
+    total = 0.0 + 0.0j
+    for ci, (box, offsets) in enumerate(cells):
+        box = np.asarray(box, dtype=float)
+        box_factor = 1.0 + 0.0j
+        for ax in range(len(theta)):
+            box_factor *= _phi(float(theta[ax]), float(box[ax, 0]), float(box[ax, 1]))
+        phases = np.exp(2j * np.pi * (np.asarray(offsets, dtype=float) @ theta))
+        if weights is None:
+            total += det * box_factor * np.sum(phases)
+        else:
+            total += det * box_factor * np.sum(phases * weights[ci])
+    return complex(total)

@@ -1,25 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from multitile import (
+    MultiTileDomain,
     NonUniformShifts,
     OutOfDomain,
+    PointOnGap,
     SingularCell,
+    cell_index_at,
     cell_system,
     check,
+    coefficient_data,
     dual_eval,
     find_pair,
+    flatten_grid,
     frequency_vector,
     gram,
     is_orthogonal,
+    make_cell,
+    make_lattice,
     make_shifts,
+    omega,
+    omega_inverse,
     riesz_bounds,
+    sample_grid,
     verify_biorthogonality,
 )
-from multitile.expsystem import assemble_V
+from multitile import expsystem
+from multitile.expsystem import _piece_table, assemble_V
 
 from builders import ALL, PERFECT, domain_of, mixed_2tile_2d
-from oracles import gram_quadrature
+from oracles import gram_quadrature, piece_sum_reference
 
 SQ2 = np.sqrt(2.0)
 
@@ -258,3 +270,149 @@ def test_nonuniform_cells_flagged():
         verify_biorthogonality(dom, sh, radius=2)
     with pytest.raises(NonUniformShifts):
         riesz_bounds(dom, sh)
+
+
+@st.composite
+def tilings(draw):
+    """Random valid multi-tiling: a sheared, scaled lattice basis, a
+    guillotine partition of the unit cube and k distinct offsets per
+    cell."""
+    d = draw(st.integers(1, 3))
+    shear = np.eye(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            shear[i, j] = draw(st.integers(-2, 2))
+    scale = [draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])) for _ in range(d)]
+    boxes = [np.array([[0.0, 1.0]] * d)]
+    for _ in range(draw(st.integers(0, 3))):
+        box = boxes.pop(draw(st.integers(0, len(boxes) - 1)))
+        ax = draw(st.integers(0, d - 1))
+        cut = box[ax, 0] + draw(st.floats(0.2, 0.8)) * (box[ax, 1] - box[ax, 0])
+        lo, hi = box.copy(), box.copy()
+        lo[ax, 1] = hi[ax, 0] = cut
+        boxes += [lo, hi]
+    k = draw(st.integers(1, 4))
+    offset = st.tuples(*[st.integers(-3, 3)] * d)
+    cells = [
+        (box, draw(st.lists(offset, min_size=k, max_size=k, unique=True)))
+        for box in boxes
+    ]
+    return domain_of((shear * scale).tolist(), cells)
+
+
+# integer label differences, and real remainders including exact
+# zeros, |theta| < 1e-12, values just above that threshold and integers
+LABEL = st.integers(-6, 6)
+REMAINDER = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, 4e-13, -7e-13, 3e-11, -2e-10, 1.0, -2.0, 0.5]),
+)
+
+
+def _table(dom, n, f, weights=None):
+    return np.concatenate([block for _, block in _piece_table(dom, n, f, weights)])
+
+
+def _close(got, ref, bound):
+    """Agreement to 1e-12 relative to `bound`, the largest modulus the
+    sum can take (references near 0 come from cancellation)."""
+    return abs(got - ref) <= 1e-12 * max(abs(ref), bound)
+
+
+@given(st.data())
+def test_piece_table_matches_reference(data):
+    dom = data.draw(tilings())
+    d, k = dom.dimension, dom.k
+    n = np.array(data.draw(st.lists(st.tuples(*[LABEL] * d), min_size=1, max_size=4)))
+    f = np.array(data.draw(st.lists(st.tuples(*[REMAINDER] * d), min_size=1, max_size=4)))
+    cells = [(c.box, c.offsets) for c in dom.cells]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    weights = rng.normal(size=(len(cells), k, len(f))) + 1j * rng.normal(size=(len(cells), k, len(f)))
+    plain = _table(dom, n, f)
+    weighted = _table(dom, n, f, weights)
+    assert plain.shape == weighted.shape == (len(n), len(f))
+    for g in range(len(n)):
+        for p in range(len(f)):
+            theta = n[g] + f[p]
+            ref = piece_sum_reference(dom.lattice.basis, cells, theta)
+            assert _close(plain[g, p], ref, dom.measure)
+            ref = piece_sum_reference(dom.lattice.basis, cells, theta, weights[:, :, p])
+            assert _close(weighted[g, p], ref, dom.measure * np.abs(weights).max())
+
+
+@given(st.data())
+def test_gram_matches_reference(data):
+    dom = data.draw(tilings())
+    d = dom.dimension
+    l1 = np.array(data.draw(st.tuples(*[st.floats(-4.0, 4.0)] * d)))
+    l2 = data.draw(st.one_of(
+        st.just(l1),  # theta = 0
+        st.just(l1 + dom.lattice.dual_basis @ np.arange(1, d + 1)),  # theta near integers
+        st.tuples(*[st.floats(-4.0, 4.0)] * d).map(np.array),
+    ))
+    cells = [(c.box, c.offsets) for c in dom.cells]
+    ref = piece_sum_reference(dom.lattice.basis, cells, dom.lattice.basis.T @ (l1 - l2))
+    assert _close(gram(dom, l1, l2), ref, dom.measure)
+
+
+def test_chunked_tables_match_whole(monkeypatch):
+    """Tables split into many small chunks match the unsplit ones (to
+    rounding: vectorized loops may round differently by array length)."""
+    dom, sh = _shifts("strip_3tile_2d", [1, 1], [3, 1])
+    ids, pts = flatten_grid(sample_grid(dom, 3))
+    coeffs = {((1, 0), 2): 1.0 - 0.5j, ((-1, 2), 3): 0.25}
+    whole = (
+        _table(dom, np.arange(-5, 5).reshape(5, 2), np.linspace(-1, 1, 6).reshape(3, 2)),
+        verify_biorthogonality(dom, sh, radius=1),
+        coefficient_data(dom, sh, coeffs, ids, pts, 2).values,
+    )
+    monkeypatch.setattr(expsystem, "CHUNK", 5)
+    split = (
+        _table(dom, np.arange(-5, 5).reshape(5, 2), np.linspace(-1, 1, 6).reshape(3, 2)),
+        verify_biorthogonality(dom, sh, radius=1),
+        coefficient_data(dom, sh, coeffs, ids, pts, 2).values,
+    )
+    for a, b in zip(whole, split):
+        assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(a)))
+
+
+def _gap_domain():
+    # hand-built domain whose only box leaves [0.5, 1) uncovered
+    cell = make_cell([[0.0, 0.5]], [[0], [1]])
+    dom = MultiTileDomain(lattice=make_lattice([[1.0]]), cells=(cell,), k=2, measure=1.0)
+    return dom, make_shifts(dom, np.array([0.5]))
+
+
+@pytest.mark.parametrize("bad", [[0.7, 2.25], [2.25, 0.7]])
+def test_dual_eval_batch_raises_first_failure(bad):
+    """A batch fails exactly as omega_inverse fails on its first bad point."""
+    dom, sh = _gap_domain()
+    points = np.array([0.25, 1.25] + bad)
+    with pytest.raises((OutOfDomain, PointOnGap)) as first:
+        omega_inverse(dom, points[2:3])
+    with pytest.raises((OutOfDomain, PointOnGap)) as batch:
+        dual_eval(dom, sh, np.array([0]), 1, points)
+    assert type(batch.value) is type(first.value)
+    assert str(batch.value) == str(first.value)
+    assert dual_eval(dom, sh, np.array([0]), 1, points[:2]).shape == (2,)
+
+
+def test_dual_eval_batch_matches_per_point_formula():
+    """Batched duals equal k V[s,r] V^-1[r,s] e_l(y) with (r, cell)
+    located one point at a time."""
+    rng = np.random.default_rng(23)
+    for name in ("twocell_2tile_1d", "shear_2tile", "strip_3tile_2d"):
+        dom = ALL[name]()
+        sh = make_shifts(dom, find_pair(dom))
+        ids, us = flatten_grid(sample_grid(dom, 5))
+        regions = rng.integers(1, dom.k + 1, size=len(ids))
+        ys = np.array([omega(dom, r, u) for r, u in zip(regions, us)])
+        n = rng.integers(-2, 3, size=dom.dimension)
+        for s in range(1, dom.k + 1):
+            got = dual_eval(dom, sh, n, s, ys)
+            l = frequency_vector(dom, sh, n, s)
+            for y, g in zip(ys, got):
+                r, u = omega_inverse(dom, y)
+                ps = cell_system(dom, sh, cell_index_at(dom, u))
+                want = dom.k * ps.V[s - 1, r - 1] * ps.V_inv[r - 1, s - 1]
+                assert abs(g - want * np.exp(2j * np.pi * float(l @ y))) <= 1e-12, name

@@ -10,6 +10,7 @@ import pytest
 
 from multitile import (
     SpecFormatError,
+    SpectralData,
     atomic_write_text,
     canonical_json,
     check,
@@ -194,6 +195,26 @@ def test_samples_column_mismatch(tmp_path):
         read_samples(str(good), dom)
 
 
+def test_samples_reject_non_finite(tmp_path):
+    dom, sh, data = _sample_set("interval_2tile", [1], [2])
+    path = tmp_path / "samples.csv"
+    bad = SpectralData(data.cell_ids, data.points, data.values.copy(), data.provenance)
+    bad.values[1, 0] = np.nan
+    with pytest.raises(SpecFormatError) as err:
+        write_samples(str(path), dom, sh, bad)
+    assert str(err.value) == "cannot serialize non-finite value nan"
+    write_samples(str(path), dom, sh, data)
+    lines = path.read_text().splitlines()
+    for row, field, text in ((2, -1, "nan"), (4, 1, "inf")):
+        broken = list(lines)
+        parts = broken[row].split(",")
+        parts[field] = text
+        broken[row] = ",".join(parts)
+        path.write_text("\n".join(broken) + "\n")
+        with pytest.raises(SpecFormatError, match=f"row {row + 1}: non-finite"):
+            read_samples(str(path), dom)
+
+
 def test_write_result_residual_column(tmp_path):
     dom, sh, data = _sample_set("interval_2tile", [1], [2], n=2)
     plain = reconstruct_grid(dom, sh, data)
@@ -330,6 +351,35 @@ def test_cli_reconstruct_rejects_foreign_sidecar(tmp_path):
     )
     assert out.returncode == 1
     assert "different domain file" in out.stderr
+
+
+def test_cli_reconstruct_rejects_sidecar_not_object(tmp_path):
+    domain = str(DOMAINS / "split_2tile.json")
+    samples = tmp_path / "samples.csv"
+    out = _run("synthesize", "--domain", domain, "--grid", "2", "--out", str(samples))
+    assert out.returncode == 0, out.stderr
+    (tmp_path / "samples.csv.meta.json").write_text("[1, 2]\n")
+    out = _run("reconstruct", "--domain", domain, "--samples", str(samples))
+    assert out.returncode == 1, out.stderr
+    assert "expected a JSON object" in out.stderr
+
+
+def test_cli_work_budget_exit_1(tmp_path):
+    plane = str(DOMAINS / "plane_4tile_2d.json")
+    cases = (
+        (("verify", "--domain", plane, "--radius", "100"),
+         "tests 2572816 label pairs"),
+        (("dual", "--domain", plane, "--grid", "1001"),
+         "gives 1002001 sample rows"),
+        (("synthesize", "--domain", str(DOMAINS / "twocell_2tile_1d.json"),
+          "--grid", "500001", "--out", str(tmp_path / "never.csv")),
+         "gives 1000002 sample rows"),
+    )
+    for args, size in cases:
+        out = _run(*args)
+        assert out.returncode == 1, out.stderr
+        assert size in out.stderr and "work budget of 1000000" in out.stderr
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_cli_synthesize_coeff_mode(tmp_path):

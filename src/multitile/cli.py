@@ -19,7 +19,7 @@ from .admissibility import (
     check as check_admissible,
     find_pair,
 )
-from .domain import MultiTileDomain, _region_points, omega, sample_grid
+from .domain import MultiTileDomain, _region_points, sample_grid
 from .errors import (
     DimensionMismatch,
     DuplicateNodes,
@@ -161,6 +161,29 @@ def _resolve_certificate(domain: MultiTileDomain, v_text, q_text):
     return result, "given"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _sidecar_vector(meta: dict, key: str, d: int, integer: bool = False) -> np.ndarray:
+    """A sidecar field holding d finite numbers (integers when integer
+    is set), as an array; SpecFormatError naming the key otherwise."""
+    raw = meta[key]
+    kind = "integers" if integer else "finite numbers"
+    error = SpecFormatError(f"sample sidecar {key} must be a list of {d} {kind}")
+    if not (isinstance(raw, list) and len(raw) == d and all(
+        _is_int(x) or (not integer and isinstance(x, float)) for x in raw
+    )):
+        raise error
+    try:
+        vec = np.array(raw, dtype=int if integer else float)
+    except OverflowError:
+        raise error from None
+    if not np.isfinite(vec).all():
+        raise error
+    return vec
+
+
 def _resolve_shifts(domain, v_text, q_text, eta_text, meta=None):
     """ShiftSet from flags, falling back to a sample sidecar."""
     d = domain.dimension
@@ -168,20 +191,15 @@ def _resolve_shifts(domain, v_text, q_text, eta_text, meta=None):
     if eta_text is not None:
         eta = _parse_int_vector(eta_text, d, "--eta")
     elif meta is not None and meta.get("eta") is not None:
-        eta = np.asarray(meta["eta"], dtype=float)
+        eta = _sidecar_vector(meta, "eta", d)
 
     if v_text is None and q_text is None and meta is not None:
         has_vq = meta.get("v") is not None and meta.get("q") is not None
         if has_vq:
-            v_text = ",".join(str(int(x)) for x in meta["v"])
-            q_text = ",".join(str(int(x)) for x in meta["q"])
+            v_text = ",".join(map(str, _sidecar_vector(meta, "v", d, integer=True)))
+            q_text = ",".join(map(str, _sidecar_vector(meta, "q", d, integer=True)))
         elif meta.get("delta") is not None:
-            delta = np.asarray(meta["delta"], dtype=float)
-            if delta.shape != (d,):
-                raise SpecFormatError(
-                    f"sidecar delta must have {d} components, got {delta.shape}"
-                )
-            return make_shifts(domain, delta, eta), None
+            return make_shifts(domain, _sidecar_vector(meta, "delta", d), eta), None
     cert, _ = _resolve_certificate(domain, v_text, q_text)
     return make_shifts(domain, cert, eta), cert
 
@@ -189,11 +207,18 @@ def _resolve_shifts(domain, v_text, q_text, eta_text, meta=None):
 def _check_sidecar_indices(shifts: ShiftSet, meta) -> None:
     if meta is None or meta.get("index_sets") is None:
         return
-    stored = [
-        tuple(tuple(int(x) for x in j) for j in idx) for idx in meta["index_sets"]
-    ]
+    stored = meta["index_sets"]
+    if not isinstance(stored, list) or not all(
+        isinstance(idx, list)
+        and all(isinstance(j, list) and all(_is_int(x) for x in j) for j in idx)
+        for idx in stored
+    ):
+        raise SpecFormatError(
+            "sample sidecar index_sets must be a list of per-cell lists "
+            "of integer index vectors"
+        )
     built = [tuple(idx) for idx in shifts.index_sets]
-    if stored != built:
+    if [tuple(tuple(j) for j in idx) for idx in stored] != built:
         raise SpecFormatError(
             "sample sidecar index sets do not match the domain; "
             "the samples were built against a different domain file"
@@ -462,11 +487,10 @@ def cmd_synthesize(domain_path, v_text, q_text, eta_text, grid_n, seed, mode,
             values = rng.normal(size=(len(ids), k)) + 1j * rng.normal(size=(len(ids), k))
         else:
             values = np.zeros((len(ids), k), dtype=complex)
-            for r in range(1, k + 1):
-                ys = np.array([omega(domain, r, pts[i]) for i in range(len(ids))])
-                for (n, s), c in coeffs.items():
-                    label = frequency_vector(domain, shifts, np.array(n), s)
-                    values[:, r - 1] += c * np.exp(2j * np.pi * (ys @ label))
+            ys = _region_points(domain, ids, pts)
+            for (n, s), c in coeffs.items():
+                label = frequency_vector(domain, shifts, np.array(n), s)
+                values += c * np.exp(2j * np.pi * (ys @ label)).reshape(len(ids), k)
         data = forward_data(domain, shifts, ids, pts, values)
 
     extra = {"grid": grid_n, "mode": mode, "seed": seed,

@@ -5,16 +5,18 @@ fail loudly instead of being ignored.  JSON output is canonical: keys
 sorted, floats printed with 17 significant digits, so equal objects
 serialize to identical bytes.  Sample sets are CSV with a JSON sidecar
 (<path>.meta.json) carrying the shift parameters and provenance needed
-to reconstruct without re-deriving them.  All writes go through a
-temporary file in the target directory followed by an atomic rename.
+to reconstruct without re-deriving them.  CSV bytes are fixed too:
+CRLF line endings, floats as %.17g with -0.0 folded to 0, cell ids as
+plain integers, and an empty residual field where no oracle ran.
+Non-finite values are refused on write and on read.  All writes go
+through a temporary file in the target directory followed by an
+atomic rename.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-import math
 import os
 import tempfile
 from typing import Mapping, Optional, Sequence
@@ -43,12 +45,15 @@ DOMAIN_KEYS = {"dimension", "lattice_basis", "cells"}
 CELL_KEYS = {"box", "offsets"}
 
 
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
+def _finite_table(table: np.ndarray) -> np.ndarray:
+    """The table with -0.0 folded into 0.0; raises on the first
+    non-finite entry in row-major order."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        x = float(table.flat[np.argmax(bad)])
         raise SpecFormatError(f"cannot serialize non-finite value {x!r}")
     # fold -0.0 into 0.0 so serialize-parse-serialize is byte stable
-    return format(x + 0.0, ".17g")
+    return table + 0.0
 
 
 def canonical_json(obj) -> str:
@@ -60,7 +65,7 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        return "%.17g" % _finite_table(np.float64(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, Mapping):
@@ -159,6 +164,13 @@ def _sidecar_path(path: str) -> str:
     return path + ".meta.json"
 
 
+def _csv_text(header: Sequence[str], columns: Sequence[np.ndarray], row_format: str) -> str:
+    """The header line and one row per row of the columns (arrays set
+    side by side), each row formatted by row_format."""
+    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+    return ",".join(header) + "\r\n" + (row_format * len(cells)) % tuple(cells.ravel())
+
+
 def write_samples(
     path: str,
     domain: MultiTileDomain,
@@ -169,26 +181,15 @@ def write_samples(
     """Write a sample CSV plus its .meta.json sidecar."""
     d = domain.dimension
     k = domain.k
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     header = (
         ["cell"]
         + [f"u_{i + 1}" for i in range(d)]
         + [part for s in range(k) for part in (f"Re_F_{s}", f"Im_F_{s}")]
     )
-    writer.writerow(header)
-    for row in range(len(data.cell_ids)):
-        vals = data.values[row]
-        writer.writerow(
-            [int(data.cell_ids[row])]
-            + [_fmt_float(x) for x in data.points[row]]
-            + [
-                part
-                for s in range(k)
-                for part in (_fmt_float(vals[s].real), _fmt_float(vals[s].imag))
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+    values = np.ascontiguousarray(data.values, dtype=complex).view(float)
+    table = _finite_table(np.concatenate([data.points, values], axis=1))
+    row_format = "%d" + ",%.17g" * table.shape[1] + "\r\n"
+    atomic_write_text(path, _csv_text(header, [data.cell_ids, table], row_format))
 
     meta = {
         "format": "multitile-samples",
@@ -223,22 +224,26 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
             f"{path}: expected {want} columns for dimension {d}, k {k}; "
             f"got {len(rows[0])}"
         )
-    cell_ids = np.empty(len(rows) - 1, dtype=int)
-    points = np.empty((len(rows) - 1, d))
-    values = np.empty((len(rows) - 1, k), dtype=complex)
-    for i, row in enumerate(rows[1:]):
-        if len(row) != want:
-            raise SpecFormatError(f"{path}: row {i + 2} has {len(row)} columns")
-        try:
-            cell_ids[i] = int(row[0])
-            points[i] = [float(x) for x in row[1 : 1 + d]]
-            for s in range(k):
-                re = float(row[1 + d + 2 * s])
-                im = float(row[2 + d + 2 * s])
-                values[i, s] = complex(re, im)
-        except ValueError as exc:
-            raise SpecFormatError(f"{path}: row {i + 2}: {exc}") from None
-    finite = np.isfinite(points).all(axis=1) & np.isfinite(values).all(axis=1)
+    # numpy parses each string with Python's float() and int(); the id
+    # column, which int() decides, is also parsed as float and dropped.
+    # A row of the wrong length makes the array ragged or the reshape
+    # fail.  On any failure the loop names the first bad row.
+    body = rows[1:]
+    try:
+        table = np.array(body, dtype=float).reshape(len(body), want)[:, 1:]
+        cell_ids = np.array([row[0] for row in body], dtype=int)
+    except (ValueError, OverflowError):
+        for i, row in enumerate(body):
+            if len(row) != want:
+                raise SpecFormatError(f"{path}: row {i + 2} has {len(row)} columns") from None
+            try:
+                np.array(row[:1], dtype=int), np.array(row[1:], dtype=float)
+            except (ValueError, OverflowError) as exc:
+                raise SpecFormatError(f"{path}: row {i + 2}: {exc}") from None
+        raise
+    points = np.ascontiguousarray(table[:, :d])
+    values = np.ascontiguousarray(table[:, d:]).view(complex)
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite)) + 2
         raise SpecFormatError(f"{path}: row {row}: non-finite point or value")
@@ -270,19 +275,14 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
 
 def write_result(path: str, result: ReconstructionResult, dimension: int) -> None:
     """Write reconstructed values as CSV rows (point, value, residual)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [f"y_{i + 1}" for i in range(dimension)] + ["Re_f", "Im_f", "residual"]
+    header = [f"y_{i + 1}" for i in range(dimension)] + ["Re_f", "Im_f", "residual"]
+    values = np.ascontiguousarray(result.values, dtype=complex).view(float).reshape(-1, 2)
+    # a NaN residual means no oracle ran and is written as an empty field
+    residuals, rows = result.residuals, result.source_rows
+    missing = np.isnan(residuals)
+    table = _finite_table(
+        np.column_stack([result.points, values, np.where(missing, 0.0, residuals)[rows]])
     )
-    for i in range(len(result.values)):
-        res = result.residuals[result.source_rows[i]]
-        writer.writerow(
-            [_fmt_float(x) for x in result.points[i]]
-            + [
-                _fmt_float(result.values[i].real),
-                _fmt_float(result.values[i].imag),
-                "" if math.isnan(res) else _fmt_float(res),
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+    text = np.array(["" if m else "%.17g" % r for m, r in zip(missing, residuals + 0.0)], dtype=object)
+    row_format = "%.17g," * (table.shape[1] - 1) + "%s\r\n"
+    atomic_write_text(path, _csv_text(header, [table[:, :-1], text[rows]], row_format))

@@ -59,6 +59,18 @@ def shear_2tile():
     )
 
 
+def twocell_2tile_2d():
+    # two cells, each 2-tiling along the first axis, with one shared
+    # shift index set
+    return domain_of(
+        [[1.0, 0.0], [0.0, 1.0]],
+        [
+            ([[0.0, 1.0], [0.0, 0.5]], [[0, 0], [1, 0]]),
+            ([[0.0, 1.0], [0.5, 1.0]], [[0, 0], [2, 0]]),
+        ],
+    )
+
+
 def mixed_2tile_2d():
     # two cells whose shift index sets differ, so shifts are per cell only
     return domain_of(

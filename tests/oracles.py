@@ -2,12 +2,23 @@
 
 Everything here is deliberately written against the raw definitions,
 without reusing the package's data structures, so the main code paths
-are cross-checked rather than self-checked.
+are cross-checked rather than self-checked.  The exception is the
+per-row CSV readers and writers at the end: they are the package's
+former row-at-a-time implementations, kept as the byte-for-byte
+reference for the array-based ones.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
+import os
+
 import numpy as np
+
+from multitile import SpecFormatError, SpectralData, atomic_write_text, canonical_json
 
 
 def shift_indices_reference(ml: np.ndarray) -> list[tuple[int, ...]]:
@@ -116,3 +127,136 @@ def piece_sum_reference(lattice_basis, cells, theta, weights=None) -> complex:
         else:
             total += det * box_factor * np.sum(phases * weights[ci])
     return complex(total)
+
+
+def _fmt_float(x: float) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        raise SpecFormatError(f"cannot serialize non-finite value {x!r}")
+    return format(x + 0.0, ".17g")
+
+
+def write_samples_reference(path, domain, shifts, data, extra_meta=None) -> None:
+    """Per-row sample CSV writer: one csv.writer row and one float
+    format call per value, plus the .meta.json sidecar."""
+    d = domain.dimension
+    k = domain.k
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    header = (
+        ["cell"]
+        + [f"u_{i + 1}" for i in range(d)]
+        + [part for s in range(k) for part in (f"Re_F_{s}", f"Im_F_{s}")]
+    )
+    writer.writerow(header)
+    for row in range(len(data.cell_ids)):
+        vals = data.values[row]
+        writer.writerow(
+            [int(data.cell_ids[row])]
+            + [_fmt_float(x) for x in data.points[row]]
+            + [
+                part
+                for s in range(k)
+                for part in (_fmt_float(vals[s].real), _fmt_float(vals[s].imag))
+            ]
+        )
+    atomic_write_text(path, buf.getvalue())
+
+    meta = {
+        "format": "multitile-samples",
+        "dimension": d,
+        "k": k,
+        "delta": shifts.delta.tolist(),
+        "eta": shifts.eta_coords.tolist(),
+        "index_sets": [[list(j) for j in idx] for idx in shifts.index_sets],
+        "provenance": data.provenance,
+        "radius": data.radius,
+    }
+    if extra_meta:
+        for key, value in extra_meta.items():
+            meta[str(key)] = value
+    atomic_write_text(path + ".meta.json", canonical_json(meta) + "\n")
+
+
+def read_samples_reference(path, domain):
+    """Per-row sample CSV reader: int() and float() on each field in
+    column order, stopping at the first bad row."""
+    d = domain.dimension
+    k = domain.k
+    want = 1 + d + 2 * k
+    try:
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise SpecFormatError(f"{path}: {exc}") from None
+    if not rows:
+        raise SpecFormatError(f"{path}: empty sample file")
+    if len(rows[0]) != want:
+        raise SpecFormatError(
+            f"{path}: expected {want} columns for dimension {d}, k {k}; "
+            f"got {len(rows[0])}"
+        )
+    cell_ids = np.empty(len(rows) - 1, dtype=int)
+    points = np.empty((len(rows) - 1, d))
+    values = np.empty((len(rows) - 1, k), dtype=complex)
+    for i, row in enumerate(rows[1:]):
+        if len(row) != want:
+            raise SpecFormatError(f"{path}: row {i + 2} has {len(row)} columns")
+        try:
+            cell_ids[i] = int(row[0])
+            points[i] = [float(x) for x in row[1 : 1 + d]]
+            for s in range(k):
+                re = float(row[1 + d + 2 * s])
+                im = float(row[2 + d + 2 * s])
+                values[i, s] = complex(re, im)
+        except ValueError as exc:
+            raise SpecFormatError(f"{path}: row {i + 2}: {exc}") from None
+    finite = np.isfinite(points).all(axis=1) & np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite)) + 2
+        raise SpecFormatError(f"{path}: row {row}: non-finite point or value")
+
+    meta = None
+    sidecar = path + ".meta.json"
+    if os.path.exists(sidecar):
+        try:
+            with open(sidecar) as handle:
+                meta = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SpecFormatError(f"{sidecar}: invalid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise SpecFormatError(f"{sidecar}: expected a JSON object")
+    provenance = "exact-pointwise"
+    radius = None
+    if meta is not None:
+        provenance = meta.get("provenance", provenance)
+        radius = meta.get("radius")
+    data = SpectralData(
+        cell_ids=cell_ids,
+        points=points,
+        values=values,
+        provenance=provenance,
+        radius=radius,
+    )
+    return data, meta
+
+
+def write_result_reference(path, result, dimension: int) -> None:
+    """Per-row result CSV writer (point, value, residual), with an
+    empty residual field where the residual is NaN."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        [f"y_{i + 1}" for i in range(dimension)] + ["Re_f", "Im_f", "residual"]
+    )
+    for i in range(len(result.values)):
+        res = result.residuals[result.source_rows[i]]
+        writer.writerow(
+            [_fmt_float(x) for x in result.points[i]]
+            + [
+                _fmt_float(result.values[i].real),
+                _fmt_float(result.values[i].imag),
+                "" if math.isnan(res) else _fmt_float(res),
+            ]
+        )
+    atomic_write_text(path, buf.getvalue())

@@ -1,14 +1,19 @@
 import csv
+import functools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from multitile import (
+    ReconstructionResult,
     SpecFormatError,
     SpectralData,
     atomic_write_text,
@@ -18,8 +23,10 @@ from multitile import (
     find_pair,
     flatten_grid,
     forward_data,
+    frequency_vector,
     load_domain,
     make_shifts,
+    omega,
     parse_domain,
     read_samples,
     reconstruct_grid,
@@ -29,7 +36,9 @@ from multitile import (
     write_samples,
 )
 
-from builders import ALL, domain_of
+from builders import ALL, domain_of, twocell_2tile_2d
+from multitile.cli import main
+from oracles import read_samples_reference, write_result_reference, write_samples_reference
 
 DOMAINS = Path(__file__).resolve().parent.parent / "domains"
 
@@ -237,6 +246,225 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     atomic_write_text(str(tmp_path / "t.txt"), "x")
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
     assert leftovers == []
+
+
+# Values whose printed form is easiest to get wrong: signed zero, the
+# smallest subnormal and the largest finite double.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+CELL_IDS = np.array([0, 1, 2, 7, -1, 2**63 - 1, -(2**63)])
+
+
+@functools.lru_cache(maxsize=None)
+def _box_domain(d, k):
+    offsets = [[i] + [0] * (d - 1) for i in range(k)]
+    dom = domain_of(np.eye(d).tolist(), [([[0, 1]] * d, offsets)])
+    return dom, make_shifts(dom, np.full(d, 1.0 / k))
+
+
+def _draw_table(data, shape):
+    """Floats mixing a drawn pool (edge values included) with values of
+    random sign and magnitude; sometimes up to two entries are NaN or
+    infinite, so the error must name the first in row-major order."""
+    pool = np.array(data.draw(st.lists(FLOATS, min_size=1, max_size=12)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    wide = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 308, size=shape)
+    table = np.where(rng.random(shape) < 0.5, rng.choice(pool, size=shape), wide)
+    if table.size:
+        for bad in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=2)):
+            table.flat[rng.integers(table.size)] = bad
+    return table, rng
+
+
+def _outcome(write, path):
+    """The bytes a writer leaves (CSV and any sidecar), or its error."""
+    try:
+        write(path)
+    except SpecFormatError as exc:
+        return "error", str(exc)
+    sidecar = Path(path + ".meta.json")
+    return Path(path).read_bytes(), sidecar.read_bytes() if sidecar.exists() else None
+
+
+@given(st.data())
+def test_write_samples_matches_reference(data):
+    d, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(0, 50))
+    dom, sh = _box_domain(d, k)
+    table, rng = _draw_table(data, (n, d + 2 * k))
+    samples = SpectralData(
+        cell_ids=rng.choice(CELL_IDS, size=n),
+        points=table[:, :d],
+        values=np.ascontiguousarray(table[:, d:]).view(complex),
+        provenance="exact-pointwise",
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _outcome(lambda p: write_samples(p, dom, sh, samples), f"{tmp}/a.csv")
+        want = _outcome(lambda p: write_samples_reference(p, dom, sh, samples), f"{tmp}/b.csv")
+    assert got == want
+
+
+@given(st.data())
+def test_write_result_matches_reference(data):
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(0, 50))
+    table, rng = _draw_table(data, (n, d + 2))
+    sources = data.draw(st.integers(1, 20))
+    residuals, _ = _draw_table(data, (sources,))
+    # without an oracle every residual is NaN; with one, skipped rows' are
+    if data.draw(st.booleans()):
+        residuals[rng.random(sources) < 0.3] = np.nan
+    else:
+        residuals[:] = np.nan
+    result = ReconstructionResult(
+        points=table[:, :d],
+        values=np.ascontiguousarray(table[:, d:]).view(complex)[:, 0],
+        source_rows=rng.integers(0, sources, size=n),
+        regions=np.ones(n, dtype=int),
+        residuals=residuals,
+        skipped=(),
+        blocks={},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _outcome(lambda p: write_result(p, result, d), f"{tmp}/a.csv")
+        want = _outcome(lambda p: write_result_reference(p, result, d), f"{tmp}/b.csv")
+    assert got == want
+
+
+def _set_field(row, col, text):
+    def edit(lines):
+        parts = lines[row].split(",")
+        parts[col] = text
+        lines[row] = ",".join(parts)
+    return edit
+
+
+def _short(row):
+    def edit(lines):
+        lines[row] = lines[row].rsplit(",", 1)[0]
+    return edit
+
+
+READ_CASES = {
+    "valid": [],
+    "short row": [_short(3)],
+    "trailing blank line": [lambda lines: lines.append("")],
+    "soup": [_set_field(3, 4, "soup")],
+    "cell id 0.0": [_set_field(2, 0, "0.0")],
+    "underscore digits": [_set_field(2, 1, "1_0"), _set_field(4, 5, "1_0")],
+    "leading space": [_set_field(2, 3, " 1.5")],
+    "soup before short row": [_set_field(2, 6, "soup"), _short(4)],
+    "short row before soup": [_short(2), _set_field(4, 6, "soup")],
+    "bad id after bad float": [_set_field(2, 2, "x"), _set_field(3, 0, "y")],
+    "nan": [_set_field(3, 2, "nan")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+def test_read_samples_matches_reference(tmp_path, case):
+    dom, sh, data = _sample_set("strip_3tile_2d", [1, 1], [3, 2], n=3)
+    path = tmp_path / "samples.csv"
+    write_samples(str(path), dom, sh, data)
+    lines = path.read_text().split("\n")[:-1]
+    for edit in READ_CASES[case]:
+        edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+    def outcome(read):
+        try:
+            back, meta = read(str(path), dom)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return back, meta
+
+    got, want = outcome(read_samples), outcome(read_samples_reference)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    for name in ("cell_ids", "points", "values"):
+        a, b = getattr(got[0], name), getattr(want[0], name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got[0].provenance, got[0].radius, got[1]) == (
+        want[0].provenance, want[0].radius, want[1]
+    )
+
+
+def test_samples_oversized_cell_id_exit_1(tmp_path):
+    dom, sh, data = _sample_set("split_2tile", [1], [3])
+    path = tmp_path / "samples.csv"
+    write_samples(str(path), dom, sh, data)
+    lines = path.read_text().split("\n")
+    lines[2] = "99999999999999999999999" + lines[2][1:]
+    path.write_text("\n".join(lines))
+    with pytest.raises(SpecFormatError, match="row 3: "):
+        read_samples(str(path), dom)
+    out = CliRunner().invoke(
+        main, ["reconstruct", "--domain", str(DOMAINS / "split_2tile.json"), "--samples", str(path)]
+    )
+    assert out.exit_code == 1, out.output
+    assert "row 3: " in out.stderr
+
+
+@pytest.mark.parametrize(
+    "fields,drop,key",
+    [
+        ({"index_sets": 5}, (), "index_sets"),
+        ({"index_sets": [[["a"]]]}, (), "index_sets"),
+        ({"delta": "x"}, ("v", "q"), "delta"),
+        ({"delta": [float("nan")]}, ("v", "q"), "delta"),
+        ({"v": [1], "q": ["a"]}, (), "q"),
+        ({"v": [1.5], "q": [3]}, (), "v"),
+        ({"q": [10**30]}, (), "q"),
+        ({"eta": ["x"]}, (), "eta"),
+        ({"eta": 5}, (), "eta"),
+    ],
+)
+def test_cli_reconstruct_rejects_malformed_sidecar_field(tmp_path, fields, drop, key):
+    dom, sh, data = _sample_set("split_2tile", [1], [3])
+    path = tmp_path / "samples.csv"
+    write_samples(str(path), dom, sh, data, {"v": [1], "q": [3]})
+    sidecar = tmp_path / "samples.csv.meta.json"
+    meta = json.loads(sidecar.read_text())
+    for name in drop:
+        del meta[name]
+    meta.update(fields)
+    sidecar.write_text(json.dumps(meta))
+    out = CliRunner().invoke(
+        main, ["reconstruct", "--domain", str(DOMAINS / "split_2tile.json"), "--samples", str(path)]
+    )
+    assert out.exit_code == 1, out.output
+    assert f"sample sidecar {key} must be" in out.stderr
+
+
+def test_cli_function_values_match_per_row_omega(tmp_path):
+    dom = twocell_2tile_2d()
+    domain = tmp_path / "twocell_2tile_2d.json"
+    save_domain(dom, str(domain))
+    terms = [((1, 0), 1, 1.0 + 0.5j), ((0, -1), 2, -0.25 + 0.0j), ((2, 1), 1, 0.0 - 1.5j)]
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps(
+        [{"n": list(n), "s": s, "re": c.real, "im": c.imag} for n, s, c in terms]
+    ))
+    samples = tmp_path / "samples.csv"
+    out = CliRunner().invoke(main, [
+        "synthesize", "--domain", str(domain), "--grid", "4",
+        "--function", str(coeffs), "--out", str(samples),
+    ])
+    assert out.exit_code == 0, out.output
+    got, _ = read_samples(str(samples), dom)
+
+    sh = make_shifts(dom, find_pair(dom))
+    ids, pts = flatten_grid(sample_grid(dom, 4))
+    assert set(ids) == {0, 1}
+    values = np.zeros((len(ids), dom.k), dtype=complex)
+    for i in range(len(ids)):
+        for r in range(1, dom.k + 1):
+            y = omega(dom, r, pts[i])
+            for n, s, c in terms:
+                values[i, r - 1] += c * np.exp(2j * np.pi * (y @ frequency_vector(dom, sh, np.array(n), s)))
+    want = forward_data(dom, sh, ids, pts, values)
+    assert np.array_equal(got.cell_ids, want.cell_ids)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
 
 
 # ---------------------------------------------------------------- CLI

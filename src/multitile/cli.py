@@ -37,7 +37,6 @@ from .errors import (
 )
 from .expsystem import (
     ShiftSet,
-    cell_system,
     dual_eval,
     frequency_vector,
     is_orthogonal,
@@ -55,7 +54,6 @@ from .formats import (
 )
 from .reconstruction import (
     ReconstructionResult,
-    SpectralData,
     coefficient_data,
     flatten_grid,
     forward_data,
@@ -111,8 +109,8 @@ def _guard(fn):
 def _parse_int_vector(text: str, d: int, name: str) -> np.ndarray:
     try:
         vec = np.array([int(part) for part in text.split(",")], dtype=int)
-    except ValueError:
-        raise SpecFormatError(f"{name} must be comma-separated integers, got {text!r}")
+    except (ValueError, OverflowError):
+        raise SpecFormatError(f"{name} must be comma-separated 64-bit integers, got {text!r}")
     if vec.shape != (d,):
         raise SpecFormatError(f"{name} must have {d} components, got {len(vec)}")
     return vec

@@ -167,12 +167,6 @@ def _unowned(u: np.ndarray) -> Exception:
     return PointOnGap(f"point {u} falls between cell boxes; perturb it off the face")
 
 
-def offsets_at(domain: MultiTileDomain, u) -> np.ndarray:
-    """The k lattice points M·z_r above u, in canonical region order."""
-    c = domain.cells[cell_index_at(domain, u)]
-    return (domain.lattice.basis @ c.offsets.T).T
-
-
 def omega(domain: MultiTileDomain, r: int, u) -> np.ndarray:
     """Map u in [0,1)^d to the point of region r above it, y = M(u + z_r).
 

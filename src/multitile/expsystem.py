@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .admissibility import AdmissibilityCertificate
-from .domain import MultiTileDomain, _omega_inverse_rows, cell_index_at
+from .domain import MultiTileDomain, _omega_inverse_rows
 from .errors import (
     DimensionMismatch,
     NonUniformShifts,
@@ -32,11 +32,28 @@ from .errors import (
     SpecFormatError,
 )
 from .freqtree import build_tree, make_frequency_set, shift_index_set
-from .vandermonde import block_norms
+from .vandermonde import _block_sigmas, _level_norms
 
 SINGULAR_TOL = 1e-12
 ORTHO_TOL = 1e-10
 CHUNK = 2**11  # table entries per chunk of the closed-form integrals
+
+
+@dataclass(frozen=True)
+class PointSystem:
+    """One cell's system, built once by make_shifts; arrays are read-only."""
+
+    cell: int
+    V: np.ndarray               # [s, r] = exp(-2 pi i <delta*j_s, z_r>)
+    sigma: np.ndarray           # singular values of V, largest first
+    dual: Optional[np.ndarray]  # [r, s] = k V[s, r] V^-1[r, s]; None if singular
+    vectors: tuple[tuple[float, ...], ...]  # frequency vectors, recursion order
+    # (level, sigma_min, sigma_max) of every 1D block of the nested recursion
+    blocks: tuple[tuple[int, np.float64, np.float64], ...]
+
+    @property
+    def kappa(self) -> float:
+        return float(self.sigma[0] / self.sigma[-1])
 
 
 @dataclass(frozen=True)
@@ -46,6 +63,10 @@ class ShiftSet:
     eta is a dual-lattice point given by integer coordinates; it drops
     out of every system matrix because exp(2 pi i <lattice, eta>) = 1,
     but it is kept so frequencies and data files stay faithful to it.
+
+    systems holds every cell's PointSystem, so a ShiftSet belongs to the
+    domain it was built from; every consumer reads each cell's matrix,
+    dual factors and block singular values from it, never rebuilds them.
     """
 
     delta: np.ndarray                                 # (d,)
@@ -54,6 +75,7 @@ class ShiftSet:
     index_sets: tuple[tuple[tuple[int, ...], ...], ...]  # per cell
     shifts: tuple[np.ndarray, ...]                    # per cell (k, d)
     uniform: bool
+    systems: tuple[PointSystem, ...]                  # per cell
 
     @property
     def dimension(self) -> int:
@@ -61,7 +83,8 @@ class ShiftSet:
 
 
 def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
-    """Build the shift family for a spacing delta (or a certificate)."""
+    """Build the shift family and every cell's system for a spacing delta
+    (or a certificate); cell_system, not this, refuses a singular cell."""
     if isinstance(delta, AdmissibilityCertificate):
         delta = delta.delta
     delta = np.asarray(delta, dtype=float)
@@ -69,6 +92,8 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
         raise DimensionMismatch(
             f"delta must have shape ({domain.dimension},), got {delta.shape}"
         )
+    if not np.isfinite(delta).all():
+        raise SpecFormatError(f"delta must be finite, got {delta}")
     if eta is None:
         eta_coords = np.zeros(domain.dimension, dtype=int)
     else:
@@ -82,22 +107,29 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
         eta_coords = np.rint(raw).astype(int)
     eta_vec = domain.lattice.dual_basis @ eta_coords
 
-    index_sets = []
-    for c in domain.cells:
-        tree = build_tree(make_frequency_set(c.offsets))
-        index_sets.append(shift_index_set(tree).indices)
+    trees = [build_tree(make_frequency_set(c.offsets)) for c in domain.cells]
+    index_sets = [shift_index_set(tree).indices for tree in trees]
     uniform = all(set(s) == set(index_sets[0]) for s in index_sets[1:])
     if uniform:
         index_sets = [index_sets[0]] * len(index_sets)
 
     shift_vecs = []
-    for js in index_sets:
+    systems = []
+    for ci, (c, tree, js) in enumerate(zip(domain.cells, trees, index_sets)):
         arr = np.array(js, dtype=float) * delta
         shift_vecs.append((domain.lattice.dual_basis @ arr.T).T + eta_vec)
+        V = np.exp(-2j * np.pi * (arr @ c.offsets.astype(float).T))
+        sigma = np.linalg.svd(V, compute_uv=False)
+        dual = None if sigma[-1] < SINGULAR_TOL else domain.k * V.T * np.linalg.inv(V)
+        for a in (V, sigma, dual):
+            if a is not None:
+                a.setflags(write=False)
+        vectors = tree.frequencies.vectors
+        blocks = tuple(_block_sigmas(vectors, tuple(delta)))
+        systems.append(PointSystem(ci, V, sigma, dual, vectors, blocks))
 
-    delta.setflags(write=False)
-    eta_coords.setflags(write=False)
-    eta_vec.setflags(write=False)
+    for a in (delta, eta_coords, eta_vec):
+        a.setflags(write=False)
     return ShiftSet(
         delta=delta,
         eta_coords=eta_coords,
@@ -105,42 +137,20 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
         index_sets=tuple(index_sets),
         shifts=tuple(shift_vecs),
         uniform=uniform,
+        systems=tuple(systems),
     )
 
 
-@dataclass(frozen=True)
-class PointSystem:
-    """The system matrix of one cell with its SVD data and inverse."""
-
-    cell: int
-    V: np.ndarray
-    sigma: np.ndarray
-    V_inv: np.ndarray
-
-    @property
-    def kappa(self) -> float:
-        return float(self.sigma[0] / self.sigma[-1])
-
-
 def cell_system(domain: MultiTileDomain, shifts: ShiftSet, cell: int) -> PointSystem:
-    """Assemble V for one cell; constant on the whole cell box."""
-    offs = domain.cells[cell].offsets.astype(float)
-    js = np.array(shifts.index_sets[cell], dtype=float)
-    phase = (js * shifts.delta) @ offs.T
-    V = np.exp(-2j * np.pi * phase)
-    sigma = np.linalg.svd(V, compute_uv=False)
-    if sigma[-1] < SINGULAR_TOL:
+    """The system of one cell, as built by make_shifts for this domain;
+    SingularCell when the spacing is not admissible for the cell."""
+    ps = shifts.systems[cell]
+    if ps.dual is None:
         raise SingularCell(
-            f"cell {cell} system is singular (sigma_min={sigma[-1]:.3e}); "
+            f"cell {cell} system is singular (sigma_min={ps.sigma[-1]:.3e}); "
             "the spacing is not admissible for this cell"
         )
-    V_inv = np.linalg.inv(V)
-    return PointSystem(cell=cell, V=V, sigma=sigma, V_inv=V_inv)
-
-
-def assemble_V(domain: MultiTileDomain, shifts: ShiftSet, u) -> PointSystem:
-    """System matrix at a point u of the fundamental domain."""
-    return cell_system(domain, shifts, cell_index_at(domain, u))
+    return ps
 
 
 def _require_uniform(shifts: ShiftSet, what: str) -> None:
@@ -195,10 +205,9 @@ def riesz_bounds(domain: MultiTileDomain, shifts: ShiftSet) -> RieszBounds:
     """
     _require_uniform(shifts, "Riesz bound computation")
     cells = []
-    for ci, c in enumerate(domain.cells):
+    for ci in range(len(domain.cells)):
         ps = cell_system(domain, shifts, ci)
-        fs = make_frequency_set(c.offsets)
-        norms = block_norms(fs.vectors, tuple(shifts.delta))
+        norms = _level_norms(ps.blocks, domain.dimension)
         lower = float(np.prod([lo**2 for lo, _ in norms]))
         upper = float(np.prod([hi**2 for _, hi in norms]))
         cells.append(
@@ -307,16 +316,6 @@ def gram(domain: MultiTileDomain, l1, l2) -> complex:
     return complex(block[0, 0])
 
 
-def _dual_weights(domain: MultiTileDomain, shifts: ShiftSet) -> list[np.ndarray]:
-    """Per cell, the matrix k * V[s, r] * V^{-1}[r, s] of region factors
-    of the dual family, indexed [r, s]."""
-    out = []
-    for ci in range(len(domain.cells)):
-        ps = cell_system(domain, shifts, ci)
-        out.append(domain.k * ps.V.T * ps.V_inv)  # [r, s]
-    return out
-
-
 def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> np.ndarray:
     """Evaluate the dual generator of basis label (n, s) at points of
     the domain.
@@ -328,7 +327,7 @@ def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> n
     """
     _require_uniform(shifts, "dual evaluation")
     l = frequency_vector(domain, shifts, n, s)
-    weights = _dual_weights(domain, shifts)
+    duals = [cell_system(domain, shifts, ci).dual for ci in range(len(domain.cells))]
     pts = np.asarray(points, dtype=float)
     single = False
     if pts.ndim == 0:
@@ -345,7 +344,7 @@ def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> n
             f"points have shape {pts.shape}, expected (N, {domain.dimension})"
         )
     regions, _, cells = _omega_inverse_rows(domain, pts)
-    factors = np.stack([w[:, s - 1] for w in weights])  # (cells, k)
+    factors = np.stack([w[:, s - 1] for w in duals])  # (cells, k)
     out = np.exp(2j * np.pi * (pts @ l)) * factors[cells, regions - 1]
     return out[0] if single else out
 
@@ -363,12 +362,12 @@ def verify_biorthogonality(
     _require_uniform(shifts, "biorthogonality check")
     if radius < 0:
         raise SpecFormatError(f"radius must be nonnegative, got {radius}")
-    weights = _dual_weights(domain, shifts)
+    duals = [cell_system(domain, shifts, ci).dual for ci in range(len(domain.cells))]
     k = domain.k
     js = np.array(shifts.index_sets[0], dtype=float)
     # rows p = (s1, s2): remainder delta*(j_s1 - j_s2), weights conj(W[r, s2])
     f = (shifts.delta * (js[:, None, :] - js[None, :, :])).reshape(k * k, -1)
-    cols = [np.tile(w.conj(), (1, k)) for w in weights]
+    cols = [np.tile(w.conj(), (1, k)) for w in duals]
     ndiff = _label_grid(2 * radius, domain.dimension)
     worst = 0.0
     for rows, vals in _piece_table(domain, ndiff, f, cols):

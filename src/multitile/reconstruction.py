@@ -25,12 +25,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .domain import MultiTileDomain, _cell_rows, _region_points
-from .errors import (
-    DimensionMismatch,
-    MultitileError,
-    SingularMatrix,
-    SpecFormatError,
-)
+from .errors import DimensionMismatch, SingularMatrix, SpecFormatError
 from .expsystem import (
     ShiftSet,
     _chunks,
@@ -39,8 +34,8 @@ from .expsystem import (
     _require_uniform,
     cell_system,
 )
-from .freqtree import FrequencyTree, make_frequency_set
-from .vandermonde import block_conditions, nested_solve, solve_vandermonde_1d
+from .freqtree import FrequencyTree
+from .vandermonde import _conditions, nested_solve
 
 __all__ = [
     "SpectralData",
@@ -51,7 +46,6 @@ __all__ = [
     "reconstruct_point",
     "reconstruct_direct",
     "reconstruct_grid",
-    "solve_vandermonde_1d",
 ]
 
 
@@ -214,7 +208,8 @@ def reconstruct_grid(
     nested_solve call, so the recursion and its block checks run once
     per cell, not once per row.  With oracle=True every cell's rows are
     additionally solved densely and the relative difference is reported
-    per data row.
+    per data row.  Frequency vectors and block conditioning come from
+    the cell systems make_shifts built.
     """
     vol = domain.lattice.volume
     k = domain.k
@@ -237,13 +232,13 @@ def reconstruct_grid(
     residuals = np.full(n_rows, np.nan)
     blocks = {}
     for ci in present:
-        fs = make_frequency_set(domain.cells[ci].offsets)
-        blocks[ci] = tuple(block_conditions(fs.vectors, tuple(shifts.delta)))
+        ps = shifts.systems[ci]
+        blocks[ci] = tuple(_conditions(ps.blocks))
         sel = usable_cells == ci
         if not sel.any():
             continue
         rhs = data.values[usable[sel]].T / vol
-        cols = _solve_columns(fs.vectors, shifts.index_sets[ci], shifts.delta, rhs)
+        cols = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, rhs)
         values[sel] = cols.T
         if oracle:
             direct = reconstruct_direct(cell_system(domain, shifts, ci).V, rhs)

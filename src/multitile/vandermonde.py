@@ -214,23 +214,36 @@ def nested_blocks(vectors, delta) -> list[tuple[int, np.ndarray]]:
     return out
 
 
-def block_conditions(vectors, delta) -> list[tuple[int, float]]:
-    """(level, condition number) for every block the recursion solves."""
+def _block_sigmas(vectors, delta) -> list[tuple[int, np.float64, np.float64]]:
+    """(level, sigma_min, sigma_max) of every block the recursion solves;
+    block_conditions and block_norms are reductions of this one walk."""
     out = []
     for lv, nodes in nested_blocks(vectors, delta):
         sig = np.linalg.svd(_vander_matrix(nodes), compute_uv=False)
-        out.append((lv, float(sig[0] / sig[-1])))
+        out.append((lv, sig[-1], sig[0]))
     return out
+
+
+def _conditions(blocks) -> list[tuple[int, float]]:
+    # numpy division: an exact zero sigma_min gives inf, not an error
+    return [(lv, float(hi / lo)) for lv, lo, hi in blocks]
+
+
+def _level_norms(blocks, level: int) -> list[tuple[float, float]]:
+    lo = [np.inf] * level
+    hi = [0.0] * level
+    for lv, s_lo, s_hi in blocks:
+        lo[lv - 1] = min(lo[lv - 1], float(s_lo))
+        hi[lv - 1] = max(hi[lv - 1], float(s_hi))
+    return list(zip(lo, hi))
+
+
+def block_conditions(vectors, delta) -> list[tuple[int, float]]:
+    """(level, condition number) for every block the recursion solves."""
+    return _conditions(_block_sigmas(vectors, delta))
 
 
 def block_norms(vectors, delta) -> list[tuple[float, float]]:
     """Per level: (smallest sigma_min, largest sigma_max) over all of
     the recursion's blocks acting on that coordinate."""
-    level = len(tuple(delta))
-    lo = [np.inf] * level
-    hi = [0.0] * level
-    for lv, nodes in nested_blocks(vectors, delta):
-        sig = np.linalg.svd(_vander_matrix(nodes), compute_uv=False)
-        lo[lv - 1] = min(lo[lv - 1], float(sig[-1]))
-        hi[lv - 1] = max(hi[lv - 1], float(sig[0]))
-    return list(zip(lo, hi))
+    return _level_norms(_block_sigmas(vectors, delta), len(tuple(delta)))

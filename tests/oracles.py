@@ -2,10 +2,12 @@
 
 Everything here is deliberately written against the raw definitions,
 without reusing the package's data structures, so the main code paths
-are cross-checked rather than self-checked.  The exception is the
-per-row CSV readers and writers at the end: they are the package's
-former row-at-a-time implementations, kept as the byte-for-byte
-reference for the array-based ones.
+are cross-checked rather than self-checked.  The exceptions are
+cell_system_reference, the package's former per-call construction of a
+cell system, kept as the reference for the systems make_shifts stores,
+and the per-row CSV readers and writers at the end: they are the
+package's former row-at-a-time implementations, kept as the
+byte-for-byte reference for the array-based ones.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ import os
 
 import numpy as np
 
-from multitile import SpecFormatError, SpectralData, atomic_write_text, canonical_json
+from multitile import (
+    SingularCell,
+    SpecFormatError,
+    SpectralData,
+    atomic_write_text,
+    canonical_json,
+)
 
 
 def shift_indices_reference(ml: np.ndarray) -> list[tuple[int, ...]]:
@@ -127,6 +135,23 @@ def piece_sum_reference(lattice_basis, cells, theta, weights=None) -> complex:
         else:
             total += det * box_factor * np.sum(phases * weights[ci])
     return complex(total)
+
+
+def cell_system_reference(domain, shifts, cell: int):
+    """(V, sigma, V^{-1}) of one cell built from scratch, with
+    V[s, r] = exp(-2 pi i <delta * j_s, z_r>); SingularCell when the
+    smallest singular value is below 1e-12."""
+    offs = domain.cells[cell].offsets.astype(float)
+    js = np.array(shifts.index_sets[cell], dtype=float)
+    phase = (js * shifts.delta) @ offs.T
+    V = np.exp(-2j * np.pi * phase)
+    sigma = np.linalg.svd(V, compute_uv=False)
+    if sigma[-1] < 1e-12:
+        raise SingularCell(
+            f"cell {cell} system is singular (sigma_min={sigma[-1]:.3e}); "
+            "the spacing is not admissible for this cell"
+        )
+    return V, sigma, np.linalg.inv(V)
 
 
 def _fmt_float(x: float) -> str:

@@ -13,7 +13,6 @@ from multitile import (
     make_cell,
     make_domain,
     make_lattice,
-    offsets_at,
     omega,
     omega_inverse,
     sample_grid,
@@ -127,12 +126,13 @@ def test_omega_inverse_rejects_outside():
 
 
 def test_offsets_at():
+    """The lattice points M·z_r above u, in region order, are omega's
+    displacement of u."""
     dom = ALL["shear_2tile"]()
     u = np.array([0.25, 0.25])
-    lams = offsets_at(dom, u)
     M = dom.lattice.basis
-    assert np.allclose(lams[0], M @ [0, 0])
-    assert np.allclose(lams[1], M @ [1, 1])
+    assert np.allclose(omega(dom, 1, u) - M @ u, M @ [0, 0])
+    assert np.allclose(omega(dom, 2, u) - M @ u, M @ [1, 1])
 
 
 def test_sample_grid_midpoints():

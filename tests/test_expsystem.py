@@ -8,6 +8,9 @@ from multitile import (
     OutOfDomain,
     PointOnGap,
     SingularCell,
+    SpecFormatError,
+    block_conditions,
+    block_norms,
     cell_index_at,
     cell_system,
     check,
@@ -19,6 +22,7 @@ from multitile import (
     gram,
     is_orthogonal,
     make_cell,
+    make_frequency_set,
     make_lattice,
     make_shifts,
     omega,
@@ -28,10 +32,10 @@ from multitile import (
     verify_biorthogonality,
 )
 from multitile import expsystem
-from multitile.expsystem import _piece_table, assemble_V
+from multitile.expsystem import _piece_table
 
 from builders import ALL, PERFECT, domain_of, mixed_2tile_2d
-from oracles import gram_quadrature, piece_sum_reference
+from oracles import cell_system_reference, gram_quadrature, piece_sum_reference
 
 SQ2 = np.sqrt(2.0)
 
@@ -63,12 +67,13 @@ def test_k1_V_matrix():
 
 def test_assemble_caches_by_cell():
     dom, sh = _shifts("twocell_2tile_1d", [1], [3])
-    a = assemble_V(dom, sh, np.array([0.1]))
-    b = assemble_V(dom, sh, np.array([0.2]))
+    def at(u):
+        return cell_system(dom, sh, cell_index_at(dom, np.array([u])))
+
+    a, b = at(0.1), at(0.2)
     assert a.cell == b.cell == 0
     assert np.allclose(a.V, b.V)
-    c = assemble_V(dom, sh, np.array([0.7]))
-    assert c.cell == 1
+    assert at(0.7).cell == 1
 
 
 def test_unimodular_entries():
@@ -88,9 +93,10 @@ def test_resolution_identity():
         k = dom.k
         for ci in range(len(dom.cells)):
             ps = cell_system(dom, sh, ci)
+            V_inv = np.linalg.inv(ps.V)
             for r in range(k):
                 total = sum(
-                    k * ps.V[s, r] * ps.V_inv[r, s] for s in range(k)
+                    k * ps.V[s, r] * V_inv[r, s] for s in range(k)
                 )
                 assert abs(total - k) <= 1e-12, name
 
@@ -100,6 +106,12 @@ def test_singular_cell():
     sh = make_shifts(dom, np.array([0.5]))  # nodes 1 and e^{-2pi i} coincide
     with pytest.raises(SingularCell):
         cell_system(dom, sh, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_shifts_rejects_non_finite_delta(bad):
+    with pytest.raises(SpecFormatError, match="delta must be finite"):
+        make_shifts(ALL["split_2tile"](), np.array([bad]))
 
 
 def test_is_orthogonal():
@@ -355,6 +367,41 @@ def test_gram_matches_reference(data):
     assert _close(gram(dom, l1, l2), ref, dom.measure)
 
 
+@given(st.data())
+def test_cached_systems_match_reference(data):
+    """Every cell system make_shifts stores equals the from-scratch
+    construction, singular cells included, and is read-only."""
+    dom = data.draw(tilings())
+    spacing = st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.25, 1 / 3, 0.5, 1.0]))
+    sh = make_shifts(dom, np.array(data.draw(st.tuples(*[spacing] * dom.dimension))))
+    delta = tuple(sh.delta)
+    for ci, c in enumerate(dom.cells):
+        ps = sh.systems[ci]
+        fs = make_frequency_set(c.offsets)
+        assert ps.cell == ci and ps.vectors == fs.vectors
+        assert [(lv, float(hi / lo)) for lv, lo, hi in ps.blocks] == block_conditions(
+            fs.vectors, delta
+        )
+        for lv, (lo, hi) in enumerate(block_norms(fs.vectors, delta), start=1):
+            level = [b for b in ps.blocks if b[0] == lv]
+            assert lo == min((float(b[1]) for b in level), default=np.inf)
+            assert hi == max((float(b[2]) for b in level), default=0.0)
+        try:
+            V, sigma, V_inv = cell_system_reference(dom, sh, ci)
+        except SingularCell as exc:
+            assert ps.dual is None
+            with pytest.raises(SingularCell) as got:
+                cell_system(dom, sh, ci)
+            assert str(got.value) == str(exc)
+            continue
+        assert cell_system(dom, sh, ci) is ps
+        assert np.array_equal(ps.V, V) and np.array_equal(ps.sigma, sigma)
+        assert np.array_equal(ps.dual, dom.k * V.T * V_inv)
+        for arr in (ps.V, ps.dual):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+
 def test_chunked_tables_match_whole(monkeypatch):
     """Tables split into many small chunks match the unsplit ones (to
     rounding: vectorized loops may round differently by array length)."""
@@ -414,5 +461,5 @@ def test_dual_eval_batch_matches_per_point_formula():
             for y, g in zip(ys, got):
                 r, u = omega_inverse(dom, y)
                 ps = cell_system(dom, sh, cell_index_at(dom, u))
-                want = dom.k * ps.V[s - 1, r - 1] * ps.V_inv[r - 1, s - 1]
+                want = dom.k * ps.V[s - 1, r - 1] * np.linalg.inv(ps.V)[r - 1, s - 1]
                 assert abs(g - want * np.exp(2j * np.pi * float(l @ y))) <= 1e-12, name

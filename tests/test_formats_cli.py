@@ -520,6 +520,27 @@ def test_cli_v_without_q_exit_1():
     assert "--v needs --q" in out.stderr
 
 
+HUGE = "99999999999999999999999"  # beyond int64
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("check", ("--q", HUGE)),
+        ("check", ("--q", "4", "--v", HUGE)),
+        ("shifts", ("--eta", HUGE)),
+        ("dual", ("--n", HUGE)),
+    ],
+    ids=["q", "v", "eta", "n"],
+)
+def test_cli_int_flag_overflow_exit_1(command, flags):
+    out = CliRunner().invoke(
+        main, [command, "--domain", str(DOMAINS / "split_2tile.json"), *flags]
+    )
+    assert out.exit_code == 1, out.output
+    assert f"{flags[-2]} must be comma-separated 64-bit integers" in out.stderr
+
+
 def test_cli_malformed_domain_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 1, "lattice_basis": [[1.0]], "cells": [], "x": 1}')

@@ -3,15 +3,16 @@
 A pair of positive integer vectors (v, q) is admissible when, for every
 cell's frequency tree, every level l, and every prefix, the residues
 v_l·z mod q_l of the prefix's child values z are pairwise distinct.
-Weak admissibility needs distinctness only; strong admissibility needs
-the residues to be integers as well; a strong pair whose q equals the
-common child-count vector q* is perfect and yields an orthogonal basis.
-Distinctness is judged circularly (distance on a circle of
-circumference q_l) with tolerance 1e-9.
+Offsets are integers, so these residues are whole numbers and every
+admissible pair is strong; a strong pair whose q equals the common
+child-count vector q* (any pair when k = 1) is perfect and yields an
+orthogonal basis.  Distinctness is judged circularly (distance on a
+circle of circumference q_l) with tolerance 1e-9.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -40,7 +41,7 @@ class LevelWitness:
 class AdmissibilityCertificate:
     v: tuple[int, ...]
     q: tuple[int, ...]
-    kind: str                 # "weak" | "strong" | "perfect"
+    kind: str                 # "strong" | "perfect"
     delta: tuple[float, ...]  # v_l / q_l per level
     witnesses: tuple[LevelWitness, ...]
 
@@ -71,21 +72,17 @@ def _check_vq(domain: MultiTileDomain, vq, name: str) -> tuple[int, ...]:
     return tuple(int(x) for x in np.rint(arr))
 
 
-def _residue(value: float, q: int) -> float:
-    r = math.fmod(value, q)
-    if r < 0.0:
-        r += q
-    return r
-
-
-def _circular_distinct(residues, q: int) -> Optional[tuple[int, int]]:
-    """Index pair of the first circular collision, or None."""
+def _collision(children, v_l: int, q_l: int):
+    """Residues v_l·z mod q_l of one prefix's children, and the index
+    pair of their first circular collision (None when all distinct)."""
+    residues = [math.fmod(v_l * z, q_l) for z in children]
+    residues = [r + q_l if r < 0.0 else r for r in residues]
     for i in range(len(residues)):
         for j in range(i + 1, len(residues)):
             d0 = abs(residues[i] - residues[j])
-            if min(d0, q - d0) <= RESIDUE_TOL:
-                return i, j
-    return None
+            if min(d0, q_l - d0) <= RESIDUE_TOL:
+                return residues, (i, j)
+    return residues, None
 
 
 def cell_trees(domain: MultiTileDomain):
@@ -93,45 +90,14 @@ def cell_trees(domain: MultiTileDomain):
     return [build_tree(make_frequency_set(c.offsets)) for c in domain.cells]
 
 
-def common_child_counts(domain: MultiTileDomain) -> Optional[tuple[int, ...]]:
-    """The vector q* of per-level child counts, when they are uniform.
-
-    Returns None as soon as two prefixes (in any cell) disagree on
-    their number of children at some level.
-    """
-    counts: list[Optional[int]] = [None] * domain.dimension
-    for tree in cell_trees(domain):
-        for lv in tree.levels:
-            for ch in lv.children:
-                c = counts[lv.level - 1]
-                if c is None:
-                    counts[lv.level - 1] = len(ch)
-                elif c != len(ch):
-                    return None
-    return tuple(int(c) for c in counts)  # type: ignore[arg-type]
-
-
-def check(domain: MultiTileDomain, v, q) -> CheckResult:
-    """Classify (v, q) for the domain.
-
-    Returns a certificate carrying the strongest class that holds, or a
-    failure report naming the first colliding pair.  Collisions are a
-    verdict about the inputs, not an exceptional state, so they are
-    reported rather than raised.
-    """
-    v = _check_vq(domain, v, "v")
-    q = _check_vq(domain, q, "q")
-
+def _certify(domain: MultiTileDomain, trees, v, q) -> CheckResult:
+    """check() on already validated (v, q) and already built trees."""
     witnesses: list[LevelWitness] = []
-    integral = True
-    for ci, tree in enumerate(cell_trees(domain)):
+    for ci, tree in enumerate(trees):
         for lv in tree.levels:
-            ql = q[lv.level - 1]
-            vl = v[lv.level - 1]
+            vl, ql = v[lv.level - 1], q[lv.level - 1]
             for parent, children in zip(lv.parents, lv.children):
-                scaled = [vl * z for z in children]
-                residues = [_residue(s, ql) for s in scaled]
-                hit = _circular_distinct(residues, ql)
+                residues, hit = _collision(children, vl, ql)
                 if hit is not None:
                     i, j = hit
                     return AdmissibilityFailure(
@@ -149,8 +115,6 @@ def check(domain: MultiTileDomain, v, q) -> CheckResult:
                             f"{residues[j]:g} (mod {ql})"
                         ),
                     )
-                if any(abs(s - round(s)) > RESIDUE_TOL for s in scaled):
-                    integral = False
                 witnesses.append(
                     LevelWitness(
                         cell=ci,
@@ -161,104 +125,63 @@ def check(domain: MultiTileDomain, v, q) -> CheckResult:
                     )
                 )
 
-    kind = "strong" if integral else "weak"
-    if kind == "strong":
-        if domain.k == 1:
-            kind = "perfect"
-        else:
-            qstar = common_child_counts(domain)
-            if qstar is not None and q == qstar:
-                kind = "perfect"
-    delta = tuple(vl / ql for vl, ql in zip(v, q))
+    # one (level, child count) pair per level is q*; a level with two counts makes it longer than q
+    counts = sorted({(lv.level, len(ch)) for t in trees for lv in t.levels for ch in lv.children})
+    perfect = domain.k == 1 or q == tuple(c for _, c in counts)
     return AdmissibilityCertificate(
-        v=v, q=q, kind=kind, delta=delta, witnesses=tuple(witnesses)
+        v=v,
+        q=q,
+        kind="perfect" if perfect else "strong",
+        delta=tuple(vl / ql for vl, ql in zip(v, q)),
+        witnesses=tuple(witnesses),
     )
 
 
-def _level_children(domain: MultiTileDomain) -> list[list[tuple[float, ...]]]:
-    """All child-value sets at each level, across cells and prefixes."""
-    per_level: list[list[tuple[float, ...]]] = [[] for _ in range(domain.dimension)]
-    for tree in cell_trees(domain):
-        for lv in tree.levels:
-            per_level[lv.level - 1].extend(lv.children)
-    return per_level
+def check(domain: MultiTileDomain, v, q) -> CheckResult:
+    """Classify (v, q) for the domain.
 
-
-def _level_ok(children_sets, vl: int, ql: int) -> tuple[bool, bool]:
-    """(distinct everywhere, residues all integral) for one level."""
-    integral = True
-    for children in children_sets:
-        scaled = [vl * z for z in children]
-        residues = [_residue(s, ql) for s in scaled]
-        if _circular_distinct(residues, ql) is not None:
-            return False, False
-        if any(abs(s - round(s)) > RESIDUE_TOL for s in scaled):
-            integral = False
-    return True, integral
+    Returns a certificate carrying the strongest class that holds, or a
+    failure report naming the first colliding pair.  Collisions are a
+    verdict about the inputs, not an exceptional state, so they are
+    reported rather than raised.
+    """
+    v = _check_vq(domain, v, "v")
+    q = _check_vq(domain, q, "q")
+    return _certify(domain, cell_trees(domain), v, q)
 
 
 def find_pair(
     domain: MultiTileDomain, v_max: int = 8, q_max: Optional[int] = None
 ) -> AdmissibilityCertificate:
-    """Search for the best admissible (v, q) within the given bounds.
+    """Search for the admissible (v, q) with the smallest q within the
+    given bounds, and the smallest v for that q.
 
     Levels decouple, so each coordinate is searched independently with
-    a deterministic ascending scan (q outer, v inner).  Preference
-    order: perfect over strong over weak, then smallest q.  Raises
-    NoPairFound when some level admits no pair within the bounds.
+    a deterministic ascending scan (q outer, v inner).  A prefix with c
+    children needs q_l >= c, since c distinct integer residues need c
+    classes, so the scan starts at the level's largest child count; when
+    the domain admits a perfect pair within the bounds, that start is
+    where the scan finds it.  Raises NoPairFound when some level admits
+    no pair within the bounds.
     """
     if q_max is None:
         q_max = max(2 * domain.k, 8)
-    per_level = _level_children(domain)
-
-    qstar = common_child_counts(domain)
-    if qstar is not None and all(ql <= q_max for ql in qstar):
-        v: list[int] = []
-        for level, children_sets in enumerate(per_level):
-            found = None
-            for vl in range(1, v_max + 1):
-                ok, integral = _level_ok(children_sets, vl, qstar[level])
-                if ok and integral:
-                    found = vl
-                    break
-            if found is None:
+    trees = cell_trees(domain)
+    hits = []
+    for level in range(domain.dimension):
+        sets = [ch for tree in trees for ch in tree.levels[level].children]
+        q_min = max(len(ch) for ch in sets)
+        for ql, vl in itertools.product(range(q_min, q_max + 1), range(1, v_max + 1)):
+            if all(_collision(ch, vl, ql)[1] is None for ch in sets):
                 break
-            v.append(found)
         else:
-            result = check(domain, v, qstar)
-            if isinstance(result, AdmissibilityCertificate):
-                return result
-
-    v_out: list[int] = []
-    q_out: list[int] = []
-    for level, children_sets in enumerate(per_level):
-        strong_hit = None
-        weak_hit = None
-        for ql in range(1, q_max + 1):
-            for vl in range(1, v_max + 1):
-                ok, integral = _level_ok(children_sets, vl, ql)
-                if not ok:
-                    continue
-                if integral:
-                    strong_hit = (vl, ql)
-                    break
-                if weak_hit is None:
-                    weak_hit = (vl, ql)
-            if strong_hit is not None:
-                break
-        hit = strong_hit or weak_hit
-        if hit is None:
             raise NoPairFound(
                 f"no admissible pair at level {level + 1} with "
                 f"v <= {v_max}, q <= {q_max}"
             )
-        v_out.append(hit[0])
-        q_out.append(hit[1])
-
-    result = check(domain, v_out, q_out)
-    if not isinstance(result, AdmissibilityCertificate):
-        raise NoPairFound(f"search result failed verification: {result.message}")
-    return result
+        hits.append((vl, ql))
+    v, q = zip(*hits)
+    return _certify(domain, trees, v, q)
 
 
 def perfect_shift_1d(offsets) -> Optional[float]:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .admissibility import AdmissibilityCertificate
+from .admissibility import AdmissibilityCertificate, cell_trees
 from .domain import MultiTileDomain, _omega_inverse_rows
 from .errors import (
     DimensionMismatch,
@@ -31,7 +31,7 @@ from .errors import (
     SingularCell,
     SpecFormatError,
 )
-from .freqtree import build_tree, make_frequency_set, shift_index_set
+from .freqtree import shift_index_set
 from .vandermonde import _block_sigmas, _level_norms
 
 SINGULAR_TOL = 1e-12
@@ -107,7 +107,7 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
         eta_coords = np.rint(raw).astype(int)
     eta_vec = domain.lattice.dual_basis @ eta_coords
 
-    trees = [build_tree(make_frequency_set(c.offsets)) for c in domain.cells]
+    trees = cell_trees(domain)
     index_sets = [shift_index_set(tree).indices for tree in trees]
     uniform = all(set(s) == set(index_sets[0]) for s in index_sets[1:])
     if uniform:

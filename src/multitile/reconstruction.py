@@ -34,7 +34,7 @@ from .expsystem import (
     _require_uniform,
     cell_system,
 )
-from .freqtree import FrequencyTree
+from .freqtree import FrequencyTree, shift_index_set
 from .vandermonde import _conditions, nested_solve
 
 __all__ = [
@@ -67,6 +67,18 @@ def flatten_grid(grid) -> tuple[np.ndarray, np.ndarray]:
     return ids, pts
 
 
+def _check_rows(domain: MultiTileDomain, cell_ids, points) -> list[int]:
+    """The distinct cell ids of N data rows; SpecFormatError for an id
+    no cell has, DimensionMismatch for points that are not (N, d)."""
+    present = [int(ci) for ci in np.unique(cell_ids)]
+    for ci in present:
+        if ci < 0 or ci >= len(domain.cells):
+            raise SpecFormatError(f"data references unknown cell {ci}")
+    if points.shape != (len(cell_ids), domain.dimension):
+        raise DimensionMismatch(f"points must have shape (N, {domain.dimension}), got {points.shape}")
+    return present
+
+
 def forward_data(
     domain: MultiTileDomain, shifts: ShiftSet, cell_ids, points, region_values
 ) -> SpectralData:
@@ -80,9 +92,9 @@ def forward_data(
         )
     out = np.empty_like(y)
     vol = domain.lattice.volume
-    for ci in np.unique(cell_ids):
+    for ci in _check_rows(domain, cell_ids, points):
         rows = np.nonzero(cell_ids == ci)[0]
-        V = cell_system(domain, shifts, int(ci)).V
+        V = cell_system(domain, shifts, ci).V
         out[rows] = vol * y[rows] @ V.T
     return SpectralData(
         cell_ids=cell_ids, points=points, values=out, provenance="exact-pointwise"
@@ -172,8 +184,6 @@ def reconstruct_point(tree: FrequencyTree, delta, F) -> np.ndarray:
     order of the tree's shift index set.  The result is ordered like
     the tree's frequency vectors.
     """
-    from .freqtree import shift_index_set
-
     order = shift_index_set(tree).indices
     if isinstance(F, Mapping):
         F = [F[j] for j in order]
@@ -219,10 +229,7 @@ def reconstruct_grid(
             f"data values must have shape ({n_rows}, {k}), got {data.values.shape}"
         )
     cell_ids = np.asarray(data.cell_ids, dtype=int)
-    present = [int(ci) for ci in np.unique(cell_ids)]
-    for ci in present:
-        if ci < 0 or ci >= len(domain.cells):
-            raise SpecFormatError(f"data references unknown cell {ci}")
+    present = _check_rows(domain, cell_ids, data.points)
 
     usable_mask = _cell_rows(domain, data.points) == cell_ids
     usable = np.nonzero(usable_mask)[0]

@@ -2,10 +2,12 @@
 
 Each builder returns a fresh MultiTileDomain.  PERFECT lists the ones
 that admit a perfect direction/modulus pair under find_pair's default
-search bounds; the others only reach a strong pair.
+search bounds; the others only reach a strong pair.  The Hypothesis
+strategy tilings draws random valid domains for property tests.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from multitile import make_cell, make_domain, make_lattice
 
@@ -104,3 +106,31 @@ def random_offsets(rng, d, k, span=5):
     while len(seen) < k:
         seen.add(tuple(int(x) for x in rng.integers(-span, span + 1, size=d)))
     return np.array(sorted(seen))
+
+
+@st.composite
+def tilings(draw):
+    """Random valid multi-tiling: a sheared, scaled lattice basis, a
+    guillotine partition of the unit cube and k distinct offsets per
+    cell."""
+    d = draw(st.integers(1, 3))
+    shear = np.eye(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            shear[i, j] = draw(st.integers(-2, 2))
+    scale = [draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])) for _ in range(d)]
+    boxes = [np.array([[0.0, 1.0]] * d)]
+    for _ in range(draw(st.integers(0, 3))):
+        box = boxes.pop(draw(st.integers(0, len(boxes) - 1)))
+        ax = draw(st.integers(0, d - 1))
+        cut = box[ax, 0] + draw(st.floats(0.2, 0.8)) * (box[ax, 1] - box[ax, 0])
+        lo, hi = box.copy(), box.copy()
+        lo[ax, 1] = hi[ax, 0] = cut
+        boxes += [lo, hi]
+    k = draw(st.integers(1, 4))
+    offset = st.tuples(*[st.integers(-3, 3)] * d)
+    cells = [
+        (box, draw(st.lists(offset, min_size=k, max_size=k, unique=True)))
+        for box in boxes
+    ]
+    return domain_of((shear * scale).tolist(), cells)

@@ -4,10 +4,13 @@ Everything here is deliberately written against the raw definitions,
 without reusing the package's data structures, so the main code paths
 are cross-checked rather than self-checked.  The exceptions are
 cell_system_reference, the package's former per-call construction of a
-cell system, kept as the reference for the systems make_shifts stores,
-and the per-row CSV readers and writers at the end: they are the
-package's former row-at-a-time implementations, kept as the
-byte-for-byte reference for the array-based ones.
+cell system, kept as the reference for the systems make_shifts stores;
+check_reference and find_pair_reference, the package's former
+admissibility test and search (with the weak class, the perfect-first
+attempt and one tree build per pass), kept as the reference for the
+single residue test; and the per-row CSV readers and writers at the
+end: they are the package's former row-at-a-time implementations, kept
+as the byte-for-byte reference for the array-based ones.
 """
 
 from __future__ import annotations
@@ -21,12 +24,19 @@ import os
 import numpy as np
 
 from multitile import (
+    AdmissibilityCertificate,
+    AdmissibilityFailure,
+    LevelWitness,
+    NoPairFound,
     SingularCell,
     SpecFormatError,
     SpectralData,
     atomic_write_text,
+    build_tree,
     canonical_json,
+    make_frequency_set,
 )
+from multitile.admissibility import _check_vq
 
 
 def shift_indices_reference(ml: np.ndarray) -> list[tuple[int, ...]]:
@@ -152,6 +162,181 @@ def cell_system_reference(domain, shifts, cell: int):
             "the spacing is not admissible for this cell"
         )
     return V, sigma, np.linalg.inv(V)
+
+
+_RESIDUE_TOL = 1e-9
+
+
+def _residue(value: float, q: int) -> float:
+    r = math.fmod(value, q)
+    if r < 0.0:
+        r += q
+    return r
+
+
+def _circular_distinct(residues, q: int):
+    """Index pair of the first circular collision, or None."""
+    for i in range(len(residues)):
+        for j in range(i + 1, len(residues)):
+            d0 = abs(residues[i] - residues[j])
+            if min(d0, q - d0) <= _RESIDUE_TOL:
+                return i, j
+    return None
+
+
+def _cell_trees(domain):
+    return [build_tree(make_frequency_set(c.offsets)) for c in domain.cells]
+
+
+def _common_child_counts(domain):
+    counts = [None] * domain.dimension
+    for tree in _cell_trees(domain):
+        for lv in tree.levels:
+            for ch in lv.children:
+                c = counts[lv.level - 1]
+                if c is None:
+                    counts[lv.level - 1] = len(ch)
+                elif c != len(ch):
+                    return None
+    return tuple(int(c) for c in counts)
+
+
+def check_reference(domain, v, q):
+    """Former admissibility.check: weak/strong/perfect classification
+    with an integrality test on every scaled child value."""
+    v = _check_vq(domain, v, "v")
+    q = _check_vq(domain, q, "q")
+
+    witnesses = []
+    integral = True
+    for ci, tree in enumerate(_cell_trees(domain)):
+        for lv in tree.levels:
+            ql = q[lv.level - 1]
+            vl = v[lv.level - 1]
+            for parent, children in zip(lv.parents, lv.children):
+                scaled = [vl * z for z in children]
+                residues = [_residue(s, ql) for s in scaled]
+                hit = _circular_distinct(residues, ql)
+                if hit is not None:
+                    i, j = hit
+                    return AdmissibilityFailure(
+                        v=v,
+                        q=q,
+                        cell=ci,
+                        level=lv.level,
+                        parent=parent,
+                        pair=(children[i], children[j]),
+                        residues=(residues[i], residues[j]),
+                        message=(
+                            f"collision in cell {ci}, level {lv.level}, "
+                            f"prefix {parent}: children z={children[i]:g} and "
+                            f"z={children[j]:g} give {residues[i]:g} = "
+                            f"{residues[j]:g} (mod {ql})"
+                        ),
+                    )
+                if any(abs(s - round(s)) > _RESIDUE_TOL for s in scaled):
+                    integral = False
+                witnesses.append(
+                    LevelWitness(
+                        cell=ci,
+                        level=lv.level,
+                        parent=parent,
+                        children=children,
+                        residues=tuple(residues),
+                    )
+                )
+
+    kind = "strong" if integral else "weak"
+    if kind == "strong":
+        if domain.k == 1:
+            kind = "perfect"
+        else:
+            qstar = _common_child_counts(domain)
+            if qstar is not None and q == qstar:
+                kind = "perfect"
+    delta = tuple(vl / ql for vl, ql in zip(v, q))
+    return AdmissibilityCertificate(
+        v=v, q=q, kind=kind, delta=delta, witnesses=tuple(witnesses)
+    )
+
+
+def _level_children(domain):
+    per_level = [[] for _ in range(domain.dimension)]
+    for tree in _cell_trees(domain):
+        for lv in tree.levels:
+            per_level[lv.level - 1].extend(lv.children)
+    return per_level
+
+
+def _level_ok(children_sets, vl: int, ql: int):
+    """(distinct everywhere, residues all integral) for one level."""
+    integral = True
+    for children in children_sets:
+        scaled = [vl * z for z in children]
+        residues = [_residue(s, ql) for s in scaled]
+        if _circular_distinct(residues, ql) is not None:
+            return False, False
+        if any(abs(s - round(s)) > _RESIDUE_TOL for s in scaled):
+            integral = False
+    return True, integral
+
+
+def find_pair_reference(domain, v_max: int = 8, q_max=None):
+    """Former admissibility.find_pair: a perfect-first attempt at the
+    common child counts, then an ascending (q outer, v inner) scan per
+    level preferring strong over weak pairs."""
+    if q_max is None:
+        q_max = max(2 * domain.k, 8)
+    per_level = _level_children(domain)
+
+    qstar = _common_child_counts(domain)
+    if qstar is not None and all(ql <= q_max for ql in qstar):
+        v = []
+        for level, children_sets in enumerate(per_level):
+            found = None
+            for vl in range(1, v_max + 1):
+                ok, integral = _level_ok(children_sets, vl, qstar[level])
+                if ok and integral:
+                    found = vl
+                    break
+            if found is None:
+                break
+            v.append(found)
+        else:
+            result = check_reference(domain, v, qstar)
+            if isinstance(result, AdmissibilityCertificate):
+                return result
+
+    v_out = []
+    q_out = []
+    for level, children_sets in enumerate(per_level):
+        strong_hit = None
+        weak_hit = None
+        for ql in range(1, q_max + 1):
+            for vl in range(1, v_max + 1):
+                ok, integral = _level_ok(children_sets, vl, ql)
+                if not ok:
+                    continue
+                if integral:
+                    strong_hit = (vl, ql)
+                    break
+                if weak_hit is None:
+                    weak_hit = (vl, ql)
+            if strong_hit is not None:
+                break
+        hit = strong_hit or weak_hit
+        if hit is None:
+            raise NoPairFound(
+                f"no admissible pair at level {level + 1} with "
+                f"v <= {v_max}, q <= {q_max}"
+            )
+        v_out.append(hit[0])
+        q_out.append(hit[1])
+
+    result = check_reference(domain, v_out, q_out)
+    if not isinstance(result, AdmissibilityCertificate):
+        raise NoPairFound(f"search result failed verification: {result.message}")
+    return result
 
 
 def _fmt_float(x: float) -> str:

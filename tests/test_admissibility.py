@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from multitile import (
     AdmissibilityCertificate,
@@ -10,7 +13,8 @@ from multitile import (
     perfect_shift_1d,
 )
 
-from builders import ALL, PERFECT, domain_of
+from builders import ALL, PERFECT, domain_of, tilings
+from oracles import check_reference, find_pair_reference
 
 
 def test_interval_perfect():
@@ -104,3 +108,43 @@ def test_admissibility_is_offset_property():
     b = domain_of([[3.0]], [([[0, 1]], [[0], [2]])])
     ca, cb = find_pair(a), find_pair(b)
     assert (tuple(ca.v), tuple(ca.q), ca.kind) == (tuple(cb.v), tuple(cb.q), cb.kind)
+
+
+def _outcome(fn, *args):
+    """repr of a result, or the NoPairFound message, for exact comparison
+    (repr also tells 0.0 from -0.0 in residues)."""
+    try:
+        return repr(fn(*args))
+    except NoPairFound as exc:
+        return f"NoPairFound: {exc}"
+
+
+BOUNDS = [(8, None), (1, 2), (2, 3), (3, 16)]
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_matches_reference_on_fixtures(name):
+    dom = ALL[name]()
+    for v_max, q_max in BOUNDS:
+        assert _outcome(find_pair, dom, v_max, q_max) == _outcome(
+            find_pair_reference, dom, v_max, q_max
+        )
+    per_axis = [(v, q) for v in range(1, 4) for q in range(1, 6)]
+    for vq in itertools.product(per_axis, repeat=dom.dimension):
+        v, q = [p[0] for p in vq], [p[1] for p in vq]
+        assert _outcome(check, dom, v, q) == _outcome(check_reference, dom, v, q)
+
+
+@given(st.data())
+def test_matches_reference_on_random_tilings(data):
+    dom = data.draw(tilings())
+    d = dom.dimension
+    v_max = data.draw(st.integers(1, 8))
+    q_max = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+    assert _outcome(find_pair, dom, v_max, q_max) == _outcome(
+        find_pair_reference, dom, v_max, q_max
+    )
+    for _ in range(3):
+        v = data.draw(st.lists(st.integers(1, 8), min_size=d, max_size=d))
+        q = data.draw(st.lists(st.integers(1, 12), min_size=d, max_size=d))
+        assert _outcome(check, dom, v, q) == _outcome(check_reference, dom, v, q)

@@ -34,7 +34,7 @@ from multitile import (
 from multitile import expsystem
 from multitile.expsystem import _piece_table
 
-from builders import ALL, PERFECT, domain_of, mixed_2tile_2d
+from builders import ALL, PERFECT, domain_of, mixed_2tile_2d, tilings
 from oracles import cell_system_reference, gram_quadrature, piece_sum_reference
 
 SQ2 = np.sqrt(2.0)
@@ -282,34 +282,6 @@ def test_nonuniform_cells_flagged():
         verify_biorthogonality(dom, sh, radius=2)
     with pytest.raises(NonUniformShifts):
         riesz_bounds(dom, sh)
-
-
-@st.composite
-def tilings(draw):
-    """Random valid multi-tiling: a sheared, scaled lattice basis, a
-    guillotine partition of the unit cube and k distinct offsets per
-    cell."""
-    d = draw(st.integers(1, 3))
-    shear = np.eye(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            shear[i, j] = draw(st.integers(-2, 2))
-    scale = [draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])) for _ in range(d)]
-    boxes = [np.array([[0.0, 1.0]] * d)]
-    for _ in range(draw(st.integers(0, 3))):
-        box = boxes.pop(draw(st.integers(0, len(boxes) - 1)))
-        ax = draw(st.integers(0, d - 1))
-        cut = box[ax, 0] + draw(st.floats(0.2, 0.8)) * (box[ax, 1] - box[ax, 0])
-        lo, hi = box.copy(), box.copy()
-        lo[ax, 1] = hi[ax, 0] = cut
-        boxes += [lo, hi]
-    k = draw(st.integers(1, 4))
-    offset = st.tuples(*[st.integers(-3, 3)] * d)
-    cells = [
-        (box, draw(st.lists(offset, min_size=k, max_size=k, unique=True)))
-        for box in boxes
-    ]
-    return domain_of((shear * scale).tolist(), cells)
 
 
 # integer label differences, and real remainders including exact

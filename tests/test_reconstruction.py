@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from multitile import (
     DimensionMismatch,
     IllConditionedWarning,
     SingularMatrix,
+    SpecFormatError,
     build_tree,
     cell_system,
     check,
@@ -23,9 +25,10 @@ from multitile import (
     reconstruct_point,
     sample_grid,
     shift_index_set,
+    verify_biorthogonality,
 )
 
-from builders import ALL, domain_of
+from builders import ALL, domain_of, tilings
 from test_freqtree import M4
 
 
@@ -284,3 +287,33 @@ def test_block_diagnostics_present():
     assert levels == {1, 2}
     for _, kappa in res.blocks[0]:
         assert kappa >= 1.0
+
+
+def test_forward_data_rejects_bad_rows():
+    dom, sh, ids, pts = _setup("twocell_2tile_1d", n=2)
+    y = np.ones((len(ids), dom.k), dtype=complex)
+    for bad in (-1, len(dom.cells)):
+        with pytest.raises(SpecFormatError, match=f"data references unknown cell {bad}"):
+            forward_data(dom, sh, np.full(len(ids), bad), pts, y)
+    for bad_pts in (pts[:-1], pts[:, 0], np.hstack([pts, pts])):
+        with pytest.raises(DimensionMismatch):
+            forward_data(dom, sh, ids, bad_pts, y)
+
+
+@given(st.data())
+def test_round_trip_on_random_tilings(data):
+    """Certified random tilings: forward data solves back exactly, the
+    nested solve agrees with the dense oracle, and uniform shift sets
+    give a biorthogonal dual.  Offsets span at most 6, so find_pair's
+    default q_max of 8 always certifies them."""
+    dom = data.draw(tilings())
+    sh = make_shifts(dom, find_pair(dom))
+    ids, pts = flatten_grid(sample_grid(dom, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
+    res = reconstruct_grid(dom, sh, forward_data(dom, sh, ids, pts, y), oracle=True)
+    assert res.skipped == ()
+    assert np.abs(res.values - y[res.source_rows, res.regions - 1]).max() <= 1e-12
+    assert np.max(res.residuals) <= 1e-12
+    if sh.uniform:
+        assert verify_biorthogonality(dom, sh, radius=1) <= 1e-10

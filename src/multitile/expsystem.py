@@ -32,7 +32,7 @@ from .errors import (
     SpecFormatError,
 )
 from .freqtree import shift_index_set
-from .vandermonde import _block_sigmas, _level_norms
+from .vandermonde import COND_LIMIT, _block_sigmas, _conditions, _level_norms, _solve_columns
 
 SINGULAR_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -41,7 +41,14 @@ CHUNK = 2**11  # table entries per chunk of the closed-form integrals
 
 @dataclass(frozen=True)
 class PointSystem:
-    """One cell's system, built once by make_shifts; arrays are read-only."""
+    """One cell's system, built once by make_shifts; arrays are read-only.
+
+    solve is the nested recursion run once on the k unit vectors, so
+    solve @ F reconstructs the values for data F; it is None, and
+    reconstruct_grid runs the recursion on the data instead, when the
+    cell is singular or the cell or one of its blocks has a condition
+    number above COND_LIMIT.
+    """
 
     cell: int
     V: np.ndarray               # [s, r] = exp(-2 pi i <delta*j_s, z_r>)
@@ -50,6 +57,8 @@ class PointSystem:
     vectors: tuple[tuple[float, ...], ...]  # frequency vectors, recursion order
     # (level, sigma_min, sigma_max) of every 1D block of the nested recursion
     blocks: tuple[tuple[int, np.float64, np.float64], ...]
+    # [r, s]: values in vectors order from data in index-set order; or None
+    solve: Optional[np.ndarray]
 
     @property
     def kappa(self) -> float:
@@ -121,12 +130,19 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
         V = np.exp(-2j * np.pi * (arr @ c.offsets.astype(float).T))
         sigma = np.linalg.svd(V, compute_uv=False)
         dual = None if sigma[-1] < SINGULAR_TOL else domain.k * V.T * np.linalg.inv(V)
-        for a in (V, sigma, dual):
-            if a is not None:
-                a.setflags(write=False)
         vectors = tree.frequencies.vectors
         blocks = tuple(_block_sigmas(vectors, tuple(delta)))
-        systems.append(PointSystem(ci, V, sigma, dual, vectors, blocks))
+        solve = None
+        # every block of a routed cell passes _solve_1d's own conditioning
+        # test, so this recursion never warns
+        if dual is not None and max(
+            [sigma[0] / sigma[-1]] + [kappa for _, kappa in _conditions(blocks)]
+        ) <= COND_LIMIT:
+            solve = _solve_columns(vectors, js, delta, np.eye(domain.k, dtype=complex))
+        for a in (V, sigma, dual, solve):
+            if a is not None:
+                a.setflags(write=False)
+        systems.append(PointSystem(ci, V, sigma, dual, vectors, blocks, solve))
 
     for a in (delta, eta_coords, eta_vec):
         a.setflags(write=False)

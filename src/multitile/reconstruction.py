@@ -14,7 +14,8 @@ the radius grows.  Its inner products come from the batched
 closed-form kernel of expsystem, and the sum over labels is one matrix
 product per chunk of points.  Reconstruction inverts V either densely
 or through the nested Vandermonde recursion, which only ever solves 1D
-systems.
+systems; make_shifts runs that recursion once per well-conditioned
+cell, so reconstructing its rows is one matrix product.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .expsystem import (
     cell_system,
 )
 from .freqtree import FrequencyTree, shift_index_set
-from .vandermonde import _conditions, nested_solve
+from .vandermonde import _conditions, _solve_columns
 
 __all__ = [
     "SpectralData",
@@ -169,14 +170,6 @@ def reconstruct_direct(V, F) -> np.ndarray:
         raise SingularMatrix(f"dense solve failed: {exc}") from None
 
 
-def _solve_columns(vectors, order, delta, rhs) -> np.ndarray:
-    """Nested solve of V y = rhs for a (k, N) matrix of data columns in
-    shift index order; returns (k, N) values in frequency-vector order."""
-    data = {j: rhs[i] for i, j in enumerate(order)}
-    solved = nested_solve(vectors, data, tuple(np.asarray(delta, dtype=float)))
-    return np.array([solved[v] for v in vectors])
-
-
 def reconstruct_point(tree: FrequencyTree, delta, F) -> np.ndarray:
     """Nested solve of V y = F for one point's data vector.
 
@@ -214,12 +207,15 @@ def reconstruct_grid(
 ) -> ReconstructionResult:
     """Reconstruct region values at every data point via nested solves.
 
-    Rows are batched per cell: all usable rows of a cell go through one
-    nested_solve call, so the recursion and its block checks run once
-    per cell, not once per row.  With oracle=True every cell's rows are
-    additionally solved densely and the relative difference is reported
-    per data row.  Frequency vectors and block conditioning come from
-    the cell systems make_shifts built.
+    Rows are batched per cell.  A cell with a solve matrix (the nested
+    recursion make_shifts ran on the unit vectors) reconstructs all its
+    usable rows with one product by that matrix.  A cell without one
+    (ill-conditioned or singular) runs the recursion on all its rows in
+    one nested_solve call, whose ill-conditioned 1D blocks warn and
+    fall back to dense solves.  With oracle=True every cell's rows are additionally solved
+    densely and the relative difference is reported per data row.
+    Frequency vectors and block conditioning come from the cell systems
+    make_shifts built.
     """
     vol = domain.lattice.volume
     k = domain.k
@@ -245,7 +241,10 @@ def reconstruct_grid(
         if not sel.any():
             continue
         rhs = data.values[usable[sel]].T / vol
-        cols = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, rhs)
+        if ps.solve is None:
+            cols = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, rhs)
+        else:
+            cols = ps.solve @ rhs
         values[sel] = cols.T
         if oracle:
             direct = reconstruct_direct(cell_system(domain, shifts, ci).V, rhs)

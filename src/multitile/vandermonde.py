@@ -192,6 +192,15 @@ def nested_solve(vectors, data, delta) -> dict:
     return solved
 
 
+def _solve_columns(vectors, order, delta, rhs) -> np.ndarray:
+    """Nested solve of V y = rhs for a (k, N) matrix of data columns in
+    shift index order; returns (k, N) values in frequency-vector order.
+    On the k unit vectors this is the cell's whole solve matrix."""
+    data = {j: rhs[i] for i, j in enumerate(order)}
+    solved = nested_solve(vectors, data, tuple(np.asarray(delta, dtype=float)))
+    return np.array([solved[v] for v in vectors])
+
+
 def nested_blocks(vectors, delta) -> list[tuple[int, np.ndarray]]:
     """Enumerate every square 1D block the nested recursion solves.
 

@@ -4,7 +4,8 @@ Everything here is deliberately written against the raw definitions,
 without reusing the package's data structures, so the main code paths
 are cross-checked rather than self-checked.  The exceptions are
 cell_system_reference, the package's former per-call construction of a
-cell system, kept as the reference for the systems make_shifts stores;
+cell system and its former per-row nested solve, kept as the reference
+for the systems make_shifts stores;
 check_reference and find_pair_reference, the package's former
 admissibility test and search (with the weak class, the perfect-first
 attempt and one tree build per pass), kept as the reference for the
@@ -20,12 +21,15 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
 from multitile import (
     AdmissibilityCertificate,
     AdmissibilityFailure,
+    DuplicateNodes,
+    IllConditionedWarning,
     LevelWitness,
     NoPairFound,
     SingularCell,
@@ -35,6 +39,7 @@ from multitile import (
     build_tree,
     canonical_json,
     make_frequency_set,
+    nested_solve,
 )
 from multitile.admissibility import _check_vq
 
@@ -148,11 +153,19 @@ def piece_sum_reference(lattice_basis, cells, theta, weights=None) -> complex:
 
 
 def cell_system_reference(domain, shifts, cell: int):
-    """(V, sigma, V^{-1}) of one cell built from scratch, with
+    """(V, sigma, V^{-1}, solve) of one cell built from scratch, with
     V[s, r] = exp(-2 pi i <delta * j_s, z_r>); SingularCell when the
-    smallest singular value is below 1e-12."""
+    smallest singular value is below 1e-12.
+
+    solve is the nested solve matrix replayed one data row at a time,
+    the package's former per-row path: column i holds nested_solve of
+    the i-th unit vector.  It is None when the cell's condition number
+    exceeds 1e8 or the replay itself warns of an ill-conditioned block
+    (or finds coincident nodes), the cells the package routes around
+    the matrix."""
     offs = domain.cells[cell].offsets.astype(float)
-    js = np.array(shifts.index_sets[cell], dtype=float)
+    index = shifts.index_sets[cell]
+    js = np.array(index, dtype=float)
     phase = (js * shifts.delta) @ offs.T
     V = np.exp(-2j * np.pi * phase)
     sigma = np.linalg.svd(V, compute_uv=False)
@@ -161,7 +174,20 @@ def cell_system_reference(domain, shifts, cell: int):
             f"cell {cell} system is singular (sigma_min={sigma[-1]:.3e}); "
             "the spacing is not admissible for this cell"
         )
-    return V, sigma, np.linalg.inv(V)
+    solve = None
+    if sigma[0] / sigma[-1] <= 1e8:
+        vectors = make_frequency_set(domain.cells[cell].offsets).vectors
+        solve = np.empty(V.shape, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IllConditionedWarning)
+            try:
+                for i, j in enumerate(index):
+                    row = {jj: float(jj == j) for jj in index}
+                    solved = nested_solve(vectors, row, tuple(shifts.delta))
+                    solve[:, i] = [solved[v] for v in vectors]
+            except (IllConditionedWarning, DuplicateNodes):
+                solve = None
+    return V, sigma, np.linalg.inv(V), solve
 
 
 _RESIDUE_TOL = 1e-9

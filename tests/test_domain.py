@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from multitile import (
     Cell,
@@ -19,7 +20,7 @@ from multitile import (
     validate,
 )
 
-from builders import ALL, domain_of, random_offsets
+from builders import ALL, domain_of, random_offsets, tilings
 from oracles import tiling_count
 
 
@@ -77,6 +78,16 @@ def test_fixtures_cover_k_times(name):
         x = M @ u
         assert tiling_count(M, cells, x) == dom.k
     validate(dom)
+
+
+@given(tilings(), st.data())
+def test_random_tilings_cover_k_times(dom, data):
+    """Brute-force covering count at a drawn point of a random tiling
+    equals k.  Offsets lie in [-3, 3] and boxes in the unit cube, so
+    translates within radius 4 reach every piece over [0, 1)^d."""
+    u = np.array(data.draw(st.tuples(*[st.floats(0.01, 0.99)] * dom.dimension)))
+    cells = [(c.box, c.offsets) for c in dom.cells]
+    assert tiling_count(dom.lattice.basis, cells, dom.lattice.basis @ u, radius=4) == dom.k
 
 
 def test_measure():

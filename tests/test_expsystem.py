@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +35,7 @@ from multitile import (
 )
 from multitile import expsystem
 from multitile.expsystem import _piece_table
+from multitile.vandermonde import COND_LIMIT, _solve_columns
 
 from builders import ALL, PERFECT, domain_of, mixed_2tile_2d, tilings
 from oracles import cell_system_reference, gram_quadrature, piece_sum_reference
@@ -342,7 +345,8 @@ def test_gram_matches_reference(data):
 @given(st.data())
 def test_cached_systems_match_reference(data):
     """Every cell system make_shifts stores equals the from-scratch
-    construction, singular cells included, and is read-only."""
+    construction, singular cells included, and is read-only; the solve
+    matrix matches the per-row replay to rounding that grows with kappa."""
     dom = data.draw(tilings())
     spacing = st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.25, 1 / 3, 0.5, 1.0]))
     sh = make_shifts(dom, np.array(data.draw(st.tuples(*[spacing] * dom.dimension))))
@@ -359,9 +363,9 @@ def test_cached_systems_match_reference(data):
             assert lo == min((float(b[1]) for b in level), default=np.inf)
             assert hi == max((float(b[2]) for b in level), default=0.0)
         try:
-            V, sigma, V_inv = cell_system_reference(dom, sh, ci)
+            V, sigma, V_inv, solve = cell_system_reference(dom, sh, ci)
         except SingularCell as exc:
-            assert ps.dual is None
+            assert ps.dual is None and ps.solve is None
             with pytest.raises(SingularCell) as got:
                 cell_system(dom, sh, ci)
             assert str(got.value) == str(exc)
@@ -369,9 +373,59 @@ def test_cached_systems_match_reference(data):
         assert cell_system(dom, sh, ci) is ps
         assert np.array_equal(ps.V, V) and np.array_equal(ps.sigma, sigma)
         assert np.array_equal(ps.dual, dom.k * V.T * V_inv)
-        for arr in (ps.V, ps.dual):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0.0
+        assert (ps.solve is None) == (solve is None)
+        if solve is not None:
+            scale = 1e-13 * ps.kappa * np.abs(solve).max()
+            assert np.abs(ps.solve - solve).max() <= scale
+        for arr in (ps.V, ps.dual, ps.solve):
+            if arr is not None:
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0.0
+
+
+@given(st.data())
+def test_solve_matrix_on_random_tilings(data):
+    """make_shifts compiles the nested solve of exactly the nonsingular
+    cells whose own and block condition numbers are within COND_LIMIT,
+    into the recursion run on the unit vectors, which inverts V: to
+    1e-12 on certified shifts, to rounding that grows with kappa on
+    arbitrary (down to near-coincident) spacings.  It never warns."""
+    dom = data.draw(tilings())
+    certified = data.draw(st.booleans())
+    spacing = st.one_of(st.floats(0.05, 0.95), st.floats(-9.0, -2.0).map(lambda e: 10.0**e))
+    delta = (
+        find_pair(dom).delta
+        if certified
+        else np.array(data.draw(st.tuples(*[spacing] * dom.dimension)))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sh = make_shifts(dom, delta)
+    eye = np.eye(dom.k, dtype=complex)
+    for ci, ps in enumerate(sh.systems):
+        routed = (
+            ps.dual is not None
+            and ps.kappa <= COND_LIMIT
+            and all(kappa <= COND_LIMIT for _, kappa in block_conditions(ps.vectors, sh.delta))
+        )
+        assert (ps.solve is not None) == routed
+        if not routed:
+            continue
+        assert np.array_equal(ps.solve, _solve_columns(ps.vectors, sh.index_sets[ci], sh.delta, eye))
+        tol = 1e-12 if certified else 1e-13 * max(10.0, ps.kappa)
+        assert np.abs(ps.solve @ ps.V - eye).max() <= tol
+        with pytest.raises(ValueError):
+            ps.solve[0, 0] = 0.0
+
+
+def test_cell_condition_alone_withholds_solve():
+    """A cell whose own kappa exceeds COND_LIMIT keeps no solve matrix
+    even when every block of the recursion is within it."""
+    dom = domain_of([[1.0, 0.0], [0.0, 1.0]], [([[0, 1], [0, 1]], [[0, 0], [1, 0], [0, 1]])])
+    sh = make_shifts(dom, np.array([1e-8, 1e-8]))
+    ps = sh.systems[0]
+    assert max(kappa for _, kappa in block_conditions(ps.vectors, sh.delta)) <= COND_LIMIT
+    assert ps.kappa > COND_LIMIT and ps.solve is None
 
 
 def test_chunked_tables_match_whole(monkeypatch):

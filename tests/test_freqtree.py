@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from multitile import (
     DuplicateOffset,
@@ -8,7 +9,7 @@ from multitile import (
     shift_index_set,
 )
 
-from builders import random_offsets
+from builders import random_offsets, tilings
 from oracles import shift_indices_reference
 
 # the ten 4-vectors of the worked k=10 construction
@@ -79,6 +80,13 @@ def test_reference_port_parity_random_sets():
         got = set(shift_index_set(build_tree(make_frequency_set(vecs))).indices)
         want = set(shift_indices_reference(vecs))
         assert got == want
+
+
+@given(tilings())
+def test_reference_port_parity_random_tilings(dom):
+    for c in dom.cells:
+        got = set(shift_index_set(build_tree(make_frequency_set(c.offsets))).indices)
+        assert got == set(shift_indices_reference(c.offsets))
 
 
 def test_two_column_pair():

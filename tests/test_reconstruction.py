@@ -27,6 +27,7 @@ from multitile import (
     shift_index_set,
     verify_biorthogonality,
 )
+from multitile.vandermonde import COND_LIMIT, _solve_columns
 
 from builders import ALL, domain_of, tilings
 from test_freqtree import M4
@@ -234,8 +235,13 @@ def test_grid_matches_per_row_points():
 
 
 def test_ill_conditioned_block_warns_once_per_call():
+    """make_shifts keeps no solve matrix for an ill-conditioned cell and
+    does not warn; each reconstruct_grid call warns once."""
     dom = ALL["interval_2tile"]()
-    sh = make_shifts(dom, np.array([1e-9]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sh = make_shifts(dom, np.array([1e-9]))
+    assert caught == [] and sh.systems[0].solve is None
     ids, pts = flatten_grid(sample_grid(dom, 50))
     y = np.ones((len(ids), dom.k), dtype=complex)
     dat = forward_data(dom, sh, ids, pts, y)
@@ -244,6 +250,30 @@ def test_ill_conditioned_block_warns_once_per_call():
         res = reconstruct_grid(dom, sh, dat)
     assert [w.category for w in caught] == [IllConditionedWarning]
     assert np.all(np.isfinite(res.values))
+
+
+def test_solve_matrix_error_within_10x_nested_up_to_cond_limit():
+    """On 1D cells with kappa from 1e5 to COND_LIMIT, applying the
+    compiled solve matrix loses at most 10x the accuracy of running the
+    nested recursion on the same 200 data columns."""
+    rng = np.random.default_rng(12)
+    kappas = []
+    for k in (2, 3, 5, 8, 12, 16):
+        for offsets in (range(k), sorted(rng.choice(40, size=k, replace=False))):
+            dom = domain_of([[1.0]], [([[0, 1]], [[int(z)] for z in offsets])])
+            for delta in np.geomspace(1e-6, 0.1, 30):
+                sh = make_shifts(dom, np.array([delta]))
+                ps = sh.systems[0]
+                if not 1e5 <= ps.kappa <= COND_LIMIT:
+                    continue
+                y = rng.normal(size=(k, 200)) + 1j * rng.normal(size=(k, 200))
+                F = ps.V @ y
+                nested = _solve_columns(ps.vectors, sh.index_sets[0], sh.delta, F)
+                err_nested = np.linalg.norm(nested - y) / np.linalg.norm(y)
+                err_product = np.linalg.norm(ps.solve @ F - y) / np.linalg.norm(y)
+                assert err_product <= 10 * err_nested, (k, delta, ps.kappa)
+                kappas.append(ps.kappa)
+    assert min(kappas) < 1e6 and max(kappas) > 5e7
 
 
 def test_oracle_residuals_match_per_row_dense():

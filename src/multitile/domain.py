@@ -179,12 +179,42 @@ def omega(domain: MultiTileDomain, r: int, u) -> np.ndarray:
     return domain.lattice.basis @ (u + c.offsets[r - 1])
 
 
+def _cell_groups(cells: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
+    """The rows of each cell id in an (N,) array, as (cell, rows) pairs.
+
+    rows is a slice when all of the cell's rows form one contiguous run,
+    as in every flatten_grid layout, so callers can read and write them
+    through views; otherwise it is an index array.
+    """
+    if len(cells) == 0:
+        return []
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(cells)) + 1, [len(cells)]))
+    heads = cells[edges[:-1]]
+    distinct = np.unique(heads)
+    if len(distinct) == len(heads):
+        return [(int(c), slice(int(a), int(b))) for c, a, b in zip(heads, edges[:-1], edges[1:])]
+    return [(int(c), np.flatnonzero(cells == c)) for c in distinct]
+
+
 def _region_points(domain: MultiTileDomain, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
     """omega for every region above every row of an (N, d) array of
     points owned by the given cells: an (N*k, d) array holding, row by
-    row, the points of regions 1..k."""
-    offsets = np.stack([c.offsets for c in domain.cells])[cells]  # (N, k, d)
-    return ((u[:, None, :] + offsets) @ domain.lattice.basis.T).reshape(-1, domain.dimension)
+    row, the points of regions 1..k.
+
+    M(u + z) is computed as M u plus the cell's offset image M z, so
+    the (N, k, d) result is written once, one axis at a time.
+    """
+    basis_t = domain.lattice.basis.T
+    base = u @ basis_t
+    out = np.empty((len(u), domain.k, domain.dimension))
+    for ci, rows in _cell_groups(cells):
+        images = domain.cells[ci].offsets @ basis_t
+        for ax in range(domain.dimension):
+            if isinstance(rows, slice):
+                np.add(base[rows, ax, None], images[:, ax], out=out[rows, :, ax])
+            else:
+                out[rows, :, ax] = base[rows, ax, None] + images[:, ax]
+    return out.reshape(-1, domain.dimension)
 
 
 def omega_inverse(domain: MultiTileDomain, y) -> tuple[int, np.ndarray]:

@@ -16,7 +16,13 @@ product per chunk of points.  Reconstruction inverts V either densely
 or through the nested Vandermonde recursion, which only ever solves 1D
 systems; make_shifts runs that recursion once per well-conditioned
 cell, so reconstructing its rows is one matrix product.
-"""
+
+Both forward_data and reconstruct_grid keep the data row-major and
+scale the small (k, k) matrix rather than the (N, k) data.  A cell
+whose rows form one contiguous run, as in every flatten_grid layout
+and every file synthesize writes, is multiplied through views and
+written in place; rows in any other order take one gather and one
+scatter per cell and agree with it to rounding."""
 
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .domain import MultiTileDomain, _cell_rows, _region_points
+from .domain import MultiTileDomain, _cell_groups, _cell_rows, _region_points
 from .errors import DimensionMismatch, SingularMatrix, SpecFormatError
 from .expsystem import (
     ShiftSet,
@@ -83,7 +89,13 @@ def _check_rows(domain: MultiTileDomain, cell_ids, points) -> list[int]:
 def forward_data(
     domain: MultiTileDomain, shifts: ShiftSet, cell_ids, points, region_values
 ) -> SpectralData:
-    """Exact data from region samples: F = vol * V y per point."""
+    """Exact data from region samples: F = vol * V y per point.
+
+    Each row's cell id is trusted: the row gets that cell's V whether or
+    not its point lies in the cell's box.  Box membership is checked
+    where it matters, by reconstruct_grid, which skips such rows.
+    Unknown cell ids and points that are not (N, d) are rejected.
+    """
     cell_ids = np.asarray(cell_ids, dtype=int)
     points = np.asarray(points, dtype=float)
     y = np.asarray(region_values, dtype=complex)
@@ -91,15 +103,22 @@ def forward_data(
         raise DimensionMismatch(
             f"region values must have shape (N, {domain.k}), got {y.shape}"
         )
-    out = np.empty_like(y)
+    _check_rows(domain, cell_ids, points)
+    out = np.empty(y.shape, dtype=complex)
     vol = domain.lattice.volume
-    for ci in _check_rows(domain, cell_ids, points):
-        rows = np.nonzero(cell_ids == ci)[0]
-        V = cell_system(domain, shifts, ci).V
-        out[rows] = vol * y[rows] @ V.T
+    for ci, rows in _cell_groups(cell_ids):
+        _product(y[rows], vol * cell_system(domain, shifts, ci).V.T, out, rows)
     return SpectralData(
         cell_ids=cell_ids, points=points, values=out, provenance="exact-pointwise"
     )
+
+
+def _product(F: np.ndarray, A: np.ndarray, out: np.ndarray, rows) -> None:
+    """Write F @ A into out[rows], in place when rows is a slice."""
+    if isinstance(rows, slice):
+        np.matmul(F, A, out=out[rows])
+    else:
+        out[rows] = F @ A
 
 
 def coefficient_data(
@@ -207,15 +226,21 @@ def reconstruct_grid(
 ) -> ReconstructionResult:
     """Reconstruct region values at every data point via nested solves.
 
-    Rows are batched per cell.  A cell with a solve matrix (the nested
+    Rows are batched per cell.  A cell with a solve matrix S (the nested
     recursion make_shifts ran on the unit vectors) reconstructs all its
-    usable rows with one product by that matrix.  A cell without one
+    usable rows with one product F @ (S.T / vol) on the row-major data.
+    The product reads the cell's rows through a view when they form one
+    contiguous run and no row was skipped, as for any flatten_grid
+    layout, and is written straight into the result when the cell's
+    usable rows form one run; otherwise rows are gathered or scattered
+    once.  A cell without a matrix
     (ill-conditioned or singular) runs the recursion on all its rows in
-    one nested_solve call, whose ill-conditioned 1D blocks warn and
-    fall back to dense solves.  With oracle=True every cell's rows are additionally solved
-    densely and the relative difference is reported per data row.
-    Frequency vectors and block conditioning come from the cell systems
-    make_shifts built.
+    one call, whose ill-conditioned 1D blocks warn and fall back to
+    dense solves.  Rows whose point lies outside the box of the cell
+    they name, or outside the domain, are skipped.  With oracle=True
+    every cell's rows are additionally solved densely and the relative
+    difference is reported per data row.  Frequency vectors and block
+    conditioning come from the cell systems make_shifts built.
     """
     vol = domain.lattice.volume
     k = domain.k
@@ -229,31 +254,27 @@ def reconstruct_grid(
 
     usable_mask = _cell_rows(domain, data.points) == cell_ids
     usable = np.nonzero(usable_mask)[0]
+    all_usable = len(usable) == n_rows
 
     usable_cells = cell_ids[usable]
     values = np.empty((len(usable), k), dtype=complex)
     residuals = np.full(n_rows, np.nan)
-    blocks = {}
-    for ci in present:
+    blocks = {ci: tuple(_conditions(shifts.systems[ci].blocks)) for ci in present}
+    for ci, rows in _cell_groups(usable_cells):
         ps = shifts.systems[ci]
-        blocks[ci] = tuple(_conditions(ps.blocks))
-        sel = usable_cells == ci
-        if not sel.any():
-            continue
-        rhs = data.values[usable[sel]].T / vol
+        F = data.values[rows if all_usable else usable[rows]]
         if ps.solve is None:
-            cols = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, rhs)
+            values[rows] = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, F.T / vol).T
         else:
-            cols = ps.solve @ rhs
-        values[sel] = cols.T
+            _product(F, ps.solve.T / vol, values, rows)
         if oracle:
-            direct = reconstruct_direct(cell_system(domain, shifts, ci).V, rhs)
-            residuals[usable[sel]] = np.linalg.norm(cols - direct, axis=0) / np.maximum(
+            direct = reconstruct_direct(cell_system(domain, shifts, ci).V, F.T / vol)
+            residuals[usable[rows]] = np.linalg.norm(values[rows].T - direct, axis=0) / np.maximum(
                 np.linalg.norm(direct, axis=0), 1e-300
             )
 
     return ReconstructionResult(
-        points=_region_points(domain, usable_cells, data.points[usable]),
+        points=_region_points(domain, usable_cells, data.points if all_usable else data.points[usable]),
         values=values.ravel(),
         source_rows=np.repeat(usable, k),
         regions=np.tile(np.arange(1, k + 1), len(usable)),

@@ -19,6 +19,7 @@ from multitile import (
     sample_grid,
     validate,
 )
+from multitile.domain import _region_points
 
 from builders import ALL, domain_of, random_offsets, tilings
 from oracles import tiling_count
@@ -144,6 +145,28 @@ def test_offsets_at():
     M = dom.lattice.basis
     assert np.allclose(omega(dom, 1, u) - M @ u, M @ [0, 0])
     assert np.allclose(omega(dom, 2, u) - M @ u, M @ [1, 1])
+
+
+@given(tilings(), st.data())
+def test_region_points_match_omega(dom, data):
+    """_region_points on grouped and on shuffled rows equals omega row
+    by row, regions 1..k in order, on sheared and scaled lattices."""
+    d, k = dom.dimension, dom.k
+    ids = np.concatenate([np.full(4, ci) for ci in range(len(dom.cells))])
+    pts = np.concatenate([
+        c.box[:, 0] + np.array(data.draw(st.lists(
+            st.lists(st.floats(0, 0.999), min_size=d, max_size=d), min_size=4, max_size=4
+        ))) * (c.box[:, 1] - c.box[:, 0])
+        for c in dom.cells
+    ])
+    offsets = np.concatenate([c.offsets for c in dom.cells])
+    tol = 1e-14 * max(1.0, np.linalg.norm(dom.lattice.basis, 2) * (1 + np.abs(offsets).max()))
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(len(ids))
+    for rows in (np.arange(len(ids)), perm):
+        got = _region_points(dom, ids[rows], pts[rows])
+        want = [omega(dom, r, u) for u in pts[rows] for r in range(1, k + 1)]
+        assert got.shape == (len(rows) * k, d)
+        assert np.abs(got - want).max() <= tol
 
 
 def test_sample_grid_midpoints():

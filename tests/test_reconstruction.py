@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from multitile import (
     DimensionMismatch,
@@ -17,7 +17,9 @@ from multitile import (
     flatten_grid,
     forward_data,
     frequency_vector,
+    make_domain,
     make_frequency_set,
+    make_lattice,
     make_shifts,
     omega,
     reconstruct_direct,
@@ -182,11 +184,15 @@ def test_coefficient_truncation_converges():
 
 
 def test_skipped_rows():
+    """forward_data trusts a row's cell id, so a wrong-cell row gets the
+    claimed cell's V; reconstruct_grid checks the box and skips it."""
     dom, sh, ids, pts = _setup("twocell_2tile_1d", [1], [3])
     ids = ids.copy()
     ids[0] = 1 - ids[0]  # claim the wrong cell for one row
     y = np.ones((len(ids), 2), dtype=complex)
     dat = forward_data(dom, sh, ids, pts, y)
+    V = cell_system(dom, sh, ids[0]).V
+    assert np.array_equal(dat.values[0], dom.lattice.volume * y[0] @ V.T)
     res = reconstruct_grid(dom, sh, dat)
     assert res.skipped == (0,)
     assert np.isnan(res.residuals[0])
@@ -207,31 +213,32 @@ def _mixed_two_cell():
 
 def test_grid_matches_per_row_points():
     rng = np.random.default_rng(55)
-    dom = _mixed_two_cell()
-    sh = make_shifts(dom, find_pair(dom))
-    assert not sh.uniform
-    ids, pts = flatten_grid(sample_grid(dom, 5))
-    ids, pts = ids.copy(), pts.copy()
-    ids[0] = 1 - ids[0]        # claims the wrong cell
-    pts[-1] = [1.5, 0.5]       # outside the domain
-    y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
-    dat = forward_data(dom, sh, ids, pts, y)
-    res = reconstruct_grid(dom, sh, dat)
-    assert res.skipped == (0, len(ids) - 1)
-    kept = [row for row in range(len(ids)) if row not in res.skipped]
-    trees = [build_tree(make_frequency_set(c.offsets)) for c in dom.cells]
-    vol = dom.lattice.volume
-    want = np.concatenate(
-        [reconstruct_point(trees[ids[row]], sh.delta, dat.values[row] / vol) for row in kept]
-    )
-    assert np.allclose(res.values, want, rtol=0, atol=1e-14)
-    assert np.allclose(res.values, y[kept].ravel(), rtol=0, atol=1e-12)
-    want_pts = [
-        dom.lattice.basis @ (pts[row] + off) for row in kept for off in dom.cells[ids[row]].offsets
-    ]
-    assert np.allclose(res.points, want_pts, rtol=0, atol=1e-14)
-    assert list(res.source_rows) == [row for row in kept for _ in range(dom.k)]
-    assert list(res.regions) == list(range(1, dom.k + 1)) * len(kept)
+    for basis in (np.eye(2), np.array([[1.5, -2.0], [0.0, 0.5]])):  # identity and sheared
+        dom = make_domain(make_lattice(basis), _mixed_two_cell().cells)
+        sh = make_shifts(dom, find_pair(dom))
+        assert not sh.uniform
+        ids, pts = flatten_grid(sample_grid(dom, 5))
+        ids, pts = ids.copy(), pts.copy()
+        ids[0] = 1 - ids[0]        # claims the wrong cell
+        pts[-1] = [1.5, 0.5]       # outside the domain
+        y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
+        dat = forward_data(dom, sh, ids, pts, y)
+        res = reconstruct_grid(dom, sh, dat)
+        assert res.skipped == (0, len(ids) - 1)
+        kept = [row for row in range(len(ids)) if row not in res.skipped]
+        trees = [build_tree(make_frequency_set(c.offsets)) for c in dom.cells]
+        vol = dom.lattice.volume
+        want = np.concatenate(
+            [reconstruct_point(trees[ids[row]], sh.delta, dat.values[row] / vol) for row in kept]
+        )
+        assert np.allclose(res.values, want, rtol=0, atol=1e-14)
+        assert np.allclose(res.values, y[kept].ravel(), rtol=0, atol=1e-12)
+        want_pts = [
+            dom.lattice.basis @ (pts[row] + off) for row in kept for off in dom.cells[ids[row]].offsets
+        ]
+        assert np.allclose(res.points, want_pts, rtol=0, atol=1e-14)
+        assert list(res.source_rows) == [row for row in kept for _ in range(dom.k)]
+        assert list(res.regions) == list(range(1, dom.k + 1)) * len(kept)
 
 
 def test_ill_conditioned_block_warns_once_per_call():
@@ -347,3 +354,74 @@ def test_round_trip_on_random_tilings(data):
     assert np.max(res.residuals) <= 1e-12
     if sh.uniform:
         assert verify_biorthogonality(dom, sh, radius=1) <= 1e-10
+
+
+def _by_source_row(res, rows, k):
+    """A result's per-row blocks keyed by original row: rows maps the
+    data row indices the result saw to the original ones."""
+    src = rows[res.source_rows.reshape(-1, k)[:, 0]]
+    order = np.argsort(src)
+    return (
+        src[order],
+        res.values.reshape(-1, k)[order],
+        res.points.reshape(len(src), -1)[order],
+        res.regions.reshape(-1, k)[order],
+    )
+
+
+def _ill_conditioned(dom):
+    """Shifts at the largest spacing from 1e-2 down to 1e-9 at which some
+    cell keeps no solve matrix and none is singular; None if there is
+    no such spacing (always so for k = 1)."""
+    for spacing in np.geomspace(1e-2, 1e-9, 15):
+        sh = make_shifts(dom, np.full(dom.dimension, spacing))
+        if any(ps.dual is None for ps in sh.systems):
+            return None
+        if any(ps.solve is None for ps in sh.systems):
+            return sh
+    return None
+
+
+@given(st.data())
+def test_row_order_does_not_matter(data):
+    """Rows in any order reconstruct like rows grouped by cell.  Grouped
+    rows take the view path and shuffled rows the gather path, on
+    sheared or scaled lattices, with one wrong-cell row, one row outside
+    the domain, and shift sets whose cells keep no solve matrix."""
+    dom = data.draw(tilings())
+    d, k = dom.dimension, dom.k
+    assume(len(dom.cells) > 1 and not np.array_equal(dom.lattice.basis, np.eye(d)))
+    ids, pts = flatten_grid(sample_grid(dom, 2))
+    wrong = int(np.flatnonzero(ids == 1)[0])
+    ids = np.append(ids, ids[-1])
+    ids[wrong] = 0  # claims the cell before it, so rows stay grouped
+    pts = np.vstack([pts, np.full(d, 1.5)])  # outside the domain
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    perm = rng.permutation(len(ids))
+    y = rng.normal(size=(len(ids), k)) + 1j * rng.normal(size=(len(ids), k))
+    certified = make_shifts(dom, find_pair(dom))
+    for sh in (certified, _ill_conditioned(dom)):
+        if sh is None:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedWarning)
+            fwd = forward_data(dom, sh, ids, pts, y)
+            fwd_p = forward_data(dom, sh, ids[perm], pts[perm], y[perm])
+            assert np.abs(fwd_p.values - fwd.values[perm]).max() <= 1e-13 * np.abs(fwd.values).max()
+            for oracle in (False, True):
+                res = reconstruct_grid(dom, sh, fwd, oracle=oracle)
+                res_p = reconstruct_grid(dom, sh, fwd_p, oracle=oracle)
+                assert res.skipped == (wrong, len(ids) - 1)
+                assert sorted(perm[list(res_p.skipped)]) == list(res.skipped)
+                np.testing.assert_allclose(res_p.residuals, res.residuals[perm], rtol=1e-13, atol=1e-13)
+                a = _by_source_row(res, np.arange(len(ids)), k)
+                b = _by_source_row(res_p, perm, k)
+                assert np.array_equal(a[0], b[0]) and np.array_equal(a[3], b[3])
+                scale = max(1.0, np.abs(a[1]).max())
+                assert np.abs(a[1] - b[1]).max() <= 1e-13 * scale
+                assert np.abs(a[2] - b[2]).max() <= 1e-13 * max(1.0, np.abs(a[2]).max())
+                if sh is certified:
+                    for r in (res, res_p):
+                        rows = np.arange(len(ids)) if r is res else perm
+                        want = y[rows][r.source_rows, r.regions - 1]
+                        assert np.abs(r.values - want).max() <= 1e-12

@@ -1,12 +1,20 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 malformed or unreadable input, 2 mathematical
-failure (no admissible shift, residue collision, singular system), 3
-unexpected internal error.
+Exit codes: 0 success; 1 malformed or unreadable input, that is an
+``errors.InputError`` (SpecFormatError, SingularBasis, DimensionMismatch,
+NotATiling, InconsistentK, DuplicateOffset, OutOfDomain) or an OSError;
+2 mathematical failure, that is a residue collision or an
+``errors.MathError`` (NoPairFound, NonUniformShifts, SingularCell,
+SingularMatrix, DuplicateNodes, PointOnGap); 3 unexpected internal error.
+
+``check --out`` and ``bounds --out`` write the result records
+(AdmissibilityCertificate, RieszBounds) as canonical JSON, so their keys
+are the records' field names.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -20,21 +28,7 @@ from .admissibility import (
     find_pair,
 )
 from .domain import MultiTileDomain, _region_points, sample_grid
-from .errors import (
-    DimensionMismatch,
-    DuplicateNodes,
-    DuplicateOffset,
-    InconsistentK,
-    NoPairFound,
-    NonUniformShifts,
-    NotATiling,
-    OutOfDomain,
-    PointOnGap,
-    SingularBasis,
-    SingularCell,
-    SingularMatrix,
-    SpecFormatError,
-)
+from .errors import InputError, MathError, SpecFormatError
 from .expsystem import (
     ShiftSet,
     dual_eval,
@@ -60,28 +54,9 @@ from .reconstruction import (
     reconstruct_grid,
 )
 
-INPUT_ERRORS = (
-    SpecFormatError,
-    SingularBasis,
-    DimensionMismatch,
-    NotATiling,
-    InconsistentK,
-    DuplicateOffset,
-    OutOfDomain,
-    OSError,
-)
 # largest label-pair count (verify) or sample-row count (dual,
 # synthesize) a command accepts; the work grows linearly with it
 WORK_BUDGET = 10**6
-
-MATH_ERRORS = (
-    NoPairFound,
-    NonUniformShifts,
-    SingularCell,
-    SingularMatrix,
-    DuplicateNodes,
-    PointOnGap,
-)
 
 
 def _guard(fn):
@@ -89,10 +64,10 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except INPUT_ERRORS as exc:
+        except (InputError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
-        except MATH_ERRORS as exc:
+        except MathError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except (SystemExit, KeyboardInterrupt, click.exceptions.Abort):
@@ -163,12 +138,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _sidecar_vector(meta: dict, key: str, d: int, integer: bool = False) -> np.ndarray:
-    """A sidecar field holding d finite numbers (integers when integer
-    is set), as an array; SpecFormatError naming the key otherwise."""
-    raw = meta[key]
-    kind = "integers" if integer else "finite numbers"
-    error = SpecFormatError(f"sample sidecar {key} must be a list of {d} {kind}")
+def _number_list(raw, d: int, integer: bool, message: str) -> np.ndarray:
+    """A JSON list of d finite numbers (64-bit integers when integer is
+    set), as an array; SpecFormatError(message) otherwise."""
+    error = SpecFormatError(message)
     if not (isinstance(raw, list) and len(raw) == d and all(
         _is_int(x) or (not integer and isinstance(x, float)) for x in raw
     )):
@@ -180,6 +153,11 @@ def _sidecar_vector(meta: dict, key: str, d: int, integer: bool = False) -> np.n
     if not np.isfinite(vec).all():
         raise error
     return vec
+
+
+def _sidecar_vector(meta: dict, key: str, d: int, integer: bool = False) -> np.ndarray:
+    kind = "integers" if integer else "finite numbers"
+    return _number_list(meta[key], d, integer, f"sample sidecar {key} must be a list of {d} {kind}")
 
 
 def _resolve_shifts(domain, v_text, q_text, eta_text, meta=None):
@@ -262,23 +240,7 @@ def cmd_check(domain_path, v_text, q_text, eta_text, out_path):
     click.echo(f"q = {_vec_str(cert.q)}")
     click.echo(f"delta = {_vec_str(cert.delta)}")
     if out_path:
-        obj = {
-            "kind": cert.kind,
-            "v": list(cert.v),
-            "q": list(cert.q),
-            "delta": list(cert.delta),
-            "witnesses": [
-                {
-                    "cell": w.cell,
-                    "level": w.level,
-                    "parent": list(w.parent),
-                    "children": list(w.children),
-                    "residues": list(w.residues),
-                }
-                for w in cert.witnesses
-            ],
-        }
-        atomic_write_text(out_path, canonical_json(obj) + "\n")
+        atomic_write_text(out_path, canonical_json(dataclasses.asdict(cert)) + "\n")
 
 
 @main.command("shifts")
@@ -401,24 +363,7 @@ def cmd_bounds(domain_path, v_text, q_text, eta_text, out_path):
             f"kappa={cb.kappa!r} factored=[{cb.factored_lower!r}, {cb.factored_upper!r}]"
         )
     if out_path:
-        obj = {
-            "alpha": bounds.alpha,
-            "beta": bounds.beta,
-            "frame_lower": bounds.frame_lower,
-            "frame_upper": bounds.frame_upper,
-            "cells": [
-                {
-                    "cell": cb.cell,
-                    "sigma_min": cb.sigma_min,
-                    "sigma_max": cb.sigma_max,
-                    "kappa": cb.kappa,
-                    "factored_lower": cb.factored_lower,
-                    "factored_upper": cb.factored_upper,
-                }
-                for cb in bounds.cells
-            ],
-        }
-        atomic_write_text(out_path, canonical_json(obj) + "\n")
+        atomic_write_text(out_path, canonical_json(dataclasses.asdict(bounds)) + "\n")
 
 
 def _load_coeffs(path: str, d: int, k: int) -> dict:
@@ -435,17 +380,15 @@ def _load_coeffs(path: str, d: int, k: int) -> dict:
             raise SpecFormatError(
                 f"{path}: term {i} must be an object with keys n, s, re, im"
             )
-        try:
-            n = tuple(int(x) for x in term["n"])
-            s = int(term["s"])
-            c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecFormatError(f"{path}: term {i}: {exc}") from None
-        if len(n) != d:
-            raise SpecFormatError(f"{path}: term {i}: n must have {d} components")
-        if not 1 <= s <= k:
+        n = _number_list(term.get("n"), d, True,
+                         f"{path}: term {i}: n must be a list of {d} integers")
+        s = term.get("s")
+        if not (_is_int(s) and 1 <= s <= k):
             raise SpecFormatError(f"{path}: term {i}: s must lie in 1..{k}")
-        coeffs[(n, s)] = coeffs.get((n, s), 0.0) + c
+        c = _number_list([term.get("re", 0.0), term.get("im", 0.0)], 2, False,
+                         f"{path}: term {i}: re and im must be finite numbers")
+        key = (tuple(n.tolist()), s)
+        coeffs[key] = coeffs.get(key, 0.0) + complex(*c)
     return coeffs
 
 
@@ -468,6 +411,8 @@ def cmd_synthesize(domain_path, v_text, q_text, eta_text, grid_n, seed, mode,
     shifts, cert = _resolve_shifts(domain, v_text, q_text, eta_text)
     if grid_n < 1:
         raise SpecFormatError(f"--grid must be positive, got {grid_n}")
+    if seed < 0:
+        raise SpecFormatError(f"--seed must be nonnegative, got {seed}")
     _check_grid_budget(domain, grid_n)
     ids, pts = flatten_grid(sample_grid(domain, grid_n))
     k = domain.k

@@ -1,59 +1,71 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Every error derives from exactly one of InputError and MathError; the
+command line maps the first to exit code 1 and the second to 2.
+"""
 
 
 class MultitileError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SingularBasis(MultitileError):
+class InputError(MultitileError):
+    """The input is malformed or out of range (CLI exit code 1)."""
+
+
+class MathError(MultitileError):
+    """Well-formed input with no mathematical answer (CLI exit code 2)."""
+
+
+class SingularBasis(InputError):
     """Lattice basis matrix is singular or numerically rank deficient."""
 
 
-class DimensionMismatch(MultitileError):
+class DimensionMismatch(InputError):
     """Inputs disagree on the ambient dimension."""
 
 
-class NotATiling(MultitileError):
+class NotATiling(InputError):
     """Cell boxes fail to partition the unit cube up to measure zero."""
 
 
-class InconsistentK(MultitileError):
+class InconsistentK(InputError):
     """Cells carry offset lists of different lengths."""
 
 
-class DuplicateOffset(MultitileError):
+class DuplicateOffset(InputError):
     """A cell lists the same lattice offset twice."""
 
 
-class PointOnGap(MultitileError):
+class PointOnGap(MathError):
     """Point falls in a measure-zero crack between cell boxes."""
 
 
-class OutOfDomain(MultitileError):
+class OutOfDomain(InputError):
     """Point does not belong to the domain."""
 
 
-class NonUniformShifts(MultitileError):
+class NonUniformShifts(MathError):
     """Operation requires every cell to share one shift index set."""
 
 
-class SingularCell(MultitileError):
+class SingularCell(MathError):
     """A cell's exponential system matrix is numerically singular."""
 
 
-class DuplicateNodes(MultitileError):
+class DuplicateNodes(MathError):
     """Vandermonde nodes coincide within tolerance."""
 
 
-class SingularMatrix(MultitileError):
+class SingularMatrix(MathError):
     """Dense linear solve hit a numerically singular matrix."""
 
 
-class NoPairFound(MultitileError):
+class NoPairFound(MathError):
     """Admissibility search exhausted its bounds without a certificate."""
 
 
-class SpecFormatError(MultitileError):
+class SpecFormatError(InputError):
     """Domain or data file violates the documented schema."""
 
 

@@ -13,6 +13,9 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from multitile import (
+    InputError,
+    MathError,
+    MultitileError,
     ReconstructionResult,
     SpecFormatError,
     SpectralData,
@@ -30,6 +33,7 @@ from multitile import (
     parse_domain,
     read_samples,
     reconstruct_grid,
+    riesz_bounds,
     sample_grid,
     save_domain,
     write_result,
@@ -37,7 +41,8 @@ from multitile import (
 )
 
 from builders import ALL, domain_of, twocell_2tile_2d
-from multitile.cli import main
+from multitile import errors
+from multitile.cli import _guard, main
 from oracles import read_samples_reference, write_result_reference, write_samples_reference
 
 DOMAINS = Path(__file__).resolve().parent.parent / "domains"
@@ -500,6 +505,66 @@ def test_cli_check_explicit_and_cert_json(tmp_path):
     assert obj["v"] == [1] and obj["q"] == [2] and obj["delta"] == [0.5]
     assert obj["witnesses"][0]["cell"] == 0
     assert cert.read_text() == canonical_json(obj) + "\n"
+    # the keys are the field names of AdmissibilityCertificate and LevelWitness
+    assert obj.keys() == {"kind", "v", "q", "delta", "witnesses"}
+    for witness in obj["witnesses"]:
+        assert witness.keys() == {"cell", "level", "parent", "children", "residues"}
+
+
+def test_cli_bounds_json_is_the_record(tmp_path):
+    path = tmp_path / "bounds.json"
+    domain = DOMAINS / "twocell_2tile_1d.json"
+    out = CliRunner().invoke(main, ["bounds", "--domain", str(domain), "--out", str(path)])
+    assert out.exit_code == 0, out.output
+    obj = json.loads(path.read_text())
+    dom = load_domain(str(domain))
+    bounds = riesz_bounds(dom, make_shifts(dom, find_pair(dom)))
+    assert obj.keys() == {"alpha", "beta", "frame_lower", "frame_upper", "cells"}
+    assert [obj["alpha"], obj["beta"], obj["frame_lower"], obj["frame_upper"]] == [
+        bounds.alpha, bounds.beta, bounds.frame_lower, bounds.frame_upper
+    ]
+    assert len(obj["cells"]) == len(bounds.cells) == 2
+    for cell, cb in zip(obj["cells"], bounds.cells):
+        assert cell == {
+            "cell": cb.cell,
+            "sigma_min": cb.sigma_min,
+            "sigma_max": cb.sigma_max,
+            "kappa": cb.kappa,
+            "factored_lower": cb.factored_lower,
+            "factored_upper": cb.factored_upper,
+        }
+
+
+def test_error_classes_define_exit_codes():
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, MultitileError)
+        and cls not in (MultitileError, InputError, MathError)
+    }
+    for cls in classes.values():
+        assert issubclass(cls, InputError) != issubclass(cls, MathError), cls
+    assert {n for n, c in classes.items() if issubclass(c, InputError)} == {
+        "SpecFormatError", "SingularBasis", "DimensionMismatch", "NotATiling",
+        "InconsistentK", "DuplicateOffset", "OutOfDomain",
+    }
+    assert {n for n, c in classes.items() if issubclass(c, MathError)} == {
+        "NoPairFound", "NonUniformShifts", "SingularCell", "SingularMatrix",
+        "DuplicateNodes", "PointOnGap",
+    }
+
+    def exit_code(exc):
+        @_guard
+        def command():
+            raise exc
+
+        with pytest.raises(SystemExit) as info:
+            command()
+        return info.value.code
+
+    cases = [(cls("x"), 1 if issubclass(cls, InputError) else 2) for cls in classes.values()]
+    cases += [(OSError("x"), 1), (ValueError("x"), 3), (MultitileError("x"), 3)]
+    for exc, code in cases:
+        assert exit_code(exc) == code, exc
 
 
 def test_cli_check_inadmissible_exit_2():
@@ -679,6 +744,32 @@ def test_cli_bad_coeff_file_exit_1(tmp_path):
     )
     assert out.returncode == 1
     assert "s must lie in 1..2" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "coeffs,flags,message",
+    [
+        (None, ("--seed", "-1"), "--seed must be nonnegative, got -1"),
+        ('[{"n": [0.5], "s": 1, "re": 1.0}]', (), "term 0: n must be a list of 1 integers"),
+        ('[{"n": "0", "s": 1, "re": 1.0}]', (), "term 0: n must be a list of 1 integers"),
+        ('[{"n": [0], "s": 1}, {"n": [99999999999999999999999], "s": 1}]', (), "term 1: n must be a list of 1 integers"),
+        ('[{"n": [0], "s": 1.9, "re": 1.0}]', (), "term 0: s must lie in 1..2"),
+        ('[{"n": [0], "s": 1, "re": "1e999"}]', (), "term 0: re and im must be finite numbers"),
+        ('[{"n": [0], "s": 1, "im": 1e999}]', (), "term 0: re and im must be finite numbers"),
+    ],
+    ids=["seed", "n-float", "n-string", "n-huge", "s-float", "re-string", "im-inf"],
+)
+def test_cli_synthesize_malformed_input_exit_1(tmp_path, coeffs, flags, message):
+    if coeffs is not None:
+        (tmp_path / "coeffs.json").write_text(coeffs)
+        flags = ("--function", str(tmp_path / "coeffs.json"))
+    out = CliRunner().invoke(main, [
+        "synthesize", "--domain", str(DOMAINS / "interval_2tile.json"), "--grid", "2",
+        *flags, "--out", str(tmp_path / "never.csv"),
+    ])
+    assert out.exit_code == 1, out.output
+    assert message in out.stderr
+    assert not (tmp_path / "never.csv").exists()
 
 
 def test_cli_verify_and_bounds(tmp_path):

@@ -3,9 +3,9 @@
 Exit codes: 0 success; 1 malformed or unreadable input, that is an
 ``errors.InputError`` (SpecFormatError, SingularBasis, DimensionMismatch,
 NotATiling, InconsistentK, DuplicateOffset, OutOfDomain) or an OSError;
-2 mathematical failure, that is a residue collision or an
-``errors.MathError`` (NoPairFound, NonUniformShifts, SingularCell,
-SingularMatrix, DuplicateNodes, PointOnGap); 3 unexpected internal error.
+2 mathematical failure, that is an ``errors.MathError`` (NoPairFound,
+ResidueCollision, NonUniformShifts, SingularCell, SingularMatrix,
+DuplicateNodes, PointOnGap); 3 unexpected internal error.
 
 ``check --out`` and ``bounds --out`` write the result records
 (AdmissibilityCertificate, RieszBounds) as canonical JSON, so their keys
@@ -28,7 +28,7 @@ from .admissibility import (
     find_pair,
 )
 from .domain import MultiTileDomain, _region_points, sample_grid
-from .errors import InputError, MathError, SpecFormatError
+from .errors import InputError, MathError, ResidueCollision, SpecFormatError
 from .expsystem import (
     ShiftSet,
     dual_eval,
@@ -54,8 +54,9 @@ from .reconstruction import (
     reconstruct_grid,
 )
 
-# largest label-pair count (verify) or sample-row count (dual,
-# synthesize) a command accepts; the work grows linearly with it
+# largest label-pair count (verify), sample-row count (dual,
+# synthesize) or coefficient work (synthesize --mode coeff) a command
+# accepts; the work grows linearly with it
 WORK_BUDGET = 10**6
 
 
@@ -129,8 +130,7 @@ def _resolve_certificate(domain: MultiTileDomain, v_text, q_text):
     q = _parse_int_vector(q_text, d, "--q")
     result = check_admissible(domain, v, q)
     if isinstance(result, AdmissibilityFailure):
-        click.echo(result.message, err=True)
-        sys.exit(2)
+        raise ResidueCollision(result.message)
     return result, "given"
 
 
@@ -201,12 +201,39 @@ def _check_sidecar_indices(shifts: ShiftSet, meta) -> None:
         )
 
 
-def _check_grid_budget(domain: MultiTileDomain, grid_n: int) -> None:
+def _check_grid_budget(domain: MultiTileDomain, grid_n: int) -> int:
+    """The sample-row count of a --grid; SpecFormatError over budget."""
     rows = grid_n**domain.dimension * len(domain.cells)
     if rows > WORK_BUDGET:
         raise SpecFormatError(
             f"--grid {grid_n} gives {rows} sample rows (grid^d x cells), "
             f"over the work budget of {WORK_BUDGET}"
+        )
+    return rows
+
+
+def _check_coeff_budget(domain: MultiTileDomain, radius: int, terms: int, rows: int) -> None:
+    """Coefficient data builds a (2r+1)^d-label table per term and
+    shift position, and sums over those labels at every sample row."""
+    if radius < 0:
+        raise SpecFormatError(f"--radius must be nonnegative, got {radius}")
+    work = (2 * radius + 1) ** domain.dimension * (terms * domain.k + rows)
+    if work > WORK_BUDGET:
+        raise SpecFormatError(
+            f"--radius {radius} with {terms} terms and {rows} sample rows gives "
+            f"{work} coefficient work units ((2r+1)^d x (terms k + rows)), "
+            f"over the work budget of {WORK_BUDGET}"
+        )
+
+
+def _check_finite_rows(values: np.ndarray, what: str) -> None:
+    """SpecFormatError naming the first row of an (N, k) array that
+    holds a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise SpecFormatError(
+            f"{what} of sample row {bad[0]} are not finite; "
+            "the --function coefficients are too large"
         )
 
 
@@ -413,8 +440,7 @@ def cmd_synthesize(domain_path, v_text, q_text, eta_text, grid_n, seed, mode,
         raise SpecFormatError(f"--grid must be positive, got {grid_n}")
     if seed < 0:
         raise SpecFormatError(f"--seed must be nonnegative, got {seed}")
-    _check_grid_budget(domain, grid_n)
-    ids, pts = flatten_grid(sample_grid(domain, grid_n))
+    rows = _check_grid_budget(domain, grid_n)
     k = domain.k
 
     coeffs = None
@@ -423,18 +449,25 @@ def cmd_synthesize(domain_path, v_text, q_text, eta_text, grid_n, seed, mode,
     if mode == "coeff":
         if coeffs is None:
             raise SpecFormatError("coeff mode needs --function <coeffs.json>")
-        data = coefficient_data(domain, shifts, coeffs, ids, pts, radius)
-    else:
-        if coeffs is None:
-            rng = np.random.default_rng(seed)
-            values = rng.normal(size=(len(ids), k)) + 1j * rng.normal(size=(len(ids), k))
+        _check_coeff_budget(domain, radius, len(coeffs), rows)
+    ids, pts = flatten_grid(sample_grid(domain, grid_n))
+    # huge coefficients overflow; the checks below name the first row
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "coeff":
+            data = coefficient_data(domain, shifts, coeffs, ids, pts, radius)
         else:
-            values = np.zeros((len(ids), k), dtype=complex)
-            ys = _region_points(domain, ids, pts)
-            for (n, s), c in coeffs.items():
-                label = frequency_vector(domain, shifts, np.array(n), s)
-                values += c * np.exp(2j * np.pi * (ys @ label)).reshape(len(ids), k)
-        data = forward_data(domain, shifts, ids, pts, values)
+            if coeffs is None:
+                rng = np.random.default_rng(seed)
+                values = rng.normal(size=(len(ids), k)) + 1j * rng.normal(size=(len(ids), k))
+            else:
+                values = np.zeros((len(ids), k), dtype=complex)
+                ys = _region_points(domain, ids, pts)
+                for (n, s), c in coeffs.items():
+                    label = frequency_vector(domain, shifts, np.array(n), s)
+                    values += c * np.exp(2j * np.pi * (ys @ label)).reshape(len(ids), k)
+                _check_finite_rows(values, "region values")
+            data = forward_data(domain, shifts, ids, pts, values)
+    _check_finite_rows(data.values, "data values")
 
     extra = {"grid": grid_n, "mode": mode, "seed": seed,
              "function": "random" if coeffs is None else "coeffs"}

@@ -180,7 +180,8 @@ def omega(domain: MultiTileDomain, r: int, u) -> np.ndarray:
 
 
 def _cell_groups(cells: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
-    """The rows of each cell id in an (N,) array, as (cell, rows) pairs.
+    """The rows of each cell id in an (N,) array of valid (nonnegative)
+    cell ids, as (cell, rows) pairs.
 
     rows is a slice when all of the cell's rows form one contiguous run,
     as in every flatten_grid layout, so callers can read and write them
@@ -190,7 +191,7 @@ def _cell_groups(cells: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
         return []
     edges = np.concatenate(([0], np.flatnonzero(np.diff(cells)) + 1, [len(cells)]))
     heads = cells[edges[:-1]]
-    distinct = np.unique(heads)
+    distinct = np.flatnonzero(np.bincount(heads))
     if len(distinct) == len(heads):
         return [(int(c), slice(int(a), int(b))) for c, a, b in zip(heads, edges[:-1], edges[1:])]
     return [(int(c), np.flatnonzero(cells == c)) for c in distinct]

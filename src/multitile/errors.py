@@ -65,6 +65,11 @@ class NoPairFound(MathError):
     """Admissibility search exhausted its bounds without a certificate."""
 
 
+class ResidueCollision(MathError):
+    """A given (v, q) pair puts two children of one frequency-tree node
+    on the same residue, so the spacing is not admissible."""
+
+
 class SpecFormatError(InputError):
     """Domain or data file violates the documented schema."""
 

@@ -12,8 +12,13 @@ Gram integrals used to verify all of it in closed form.
 
 The closed-form integrals are batched: one kernel evaluates a whole
 table of them, over a grid of integer label differences times a set of
-real remainders, in chunks of bounded size.  dual_eval likewise
-locates all of its points in one array pass.
+real remainders (or a batch of such tables), in chunks of bounded
+size.  Every piece is a box translated by a lattice point, so its
+integral is a product of one-axis integrals; the kernel evaluates each
+one-axis integral once per distinct integer coordinate and remainder
+and builds the table by gathering and multiplying across axes, so its
+exponentials grow with the label range per axis, not with the grid.
+dual_eval likewise locates all of its points in one array pass.
 """
 
 from __future__ import annotations
@@ -278,41 +283,82 @@ def _label_grid(radius: int, d: int) -> np.ndarray:
     return np.indices((side,) * d).reshape(d, -1).T - radius
 
 
+def _distinct(term: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first position of every distinct (term, key) pair of two
+    equal-length integer arrays, and for every position the index of
+    its pair among them: np.unique(return_inverse=True) by one sort,
+    which unlike np.unique imports no numpy.ma."""
+    order = np.lexsort((key, term))
+    term, key = term[order], key[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (term[1:] != term[:-1]) | (key[1:] != key[:-1])
+    inverse = np.empty(len(order), dtype=int)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _piece_table(domain: MultiTileDomain, n, f, weights=None):
     """Table of piece sums, entry [g, p] for theta = n[g] + f[p],
-    yielded as (rows, block) pairs of at most CHUNK entries each.
+    yielded as (rows, block) pairs of at most CHUNK entries each (but
+    at least one row of the table).
 
     The piece sum of theta = M^T (l1 - l2) is the sum over (cell,
     region) pieces of the exponential integral int exp(2 pi i <l1-l2,
     y>) dy.  n is a (G, d) array of integer label differences and f a
-    (P, d) array of real remainders.  Offsets and n are integers, so
-    the lattice phase exp(2 pi i <z_r, theta>) of every piece depends
-    on f alone and is built once; the box integral is a product of
-    one-axis integrals.
+    (P, d) array of real remainders.  A batch of B tables is built at
+    once from a (B, G, d) n and a (B, P, d) f: entry [b, g, p] is for
+    theta = n[b, g] + f[b, p], rows slice the g axis and blocks are
+    (B, g, P).
 
-    weights, when given, holds per cell a (k, P) array of complex
-    factors applied to the region terms (the dual modulations).
+    Offsets and n are integers, so the lattice phase exp(2 pi i <z_r,
+    theta>) of every piece depends on f alone and is built once.  Each
+    piece is a box, so its integral is a product of one-axis integrals
+    (exp(tb) - exp(ta)) / t, t = 2 pi i theta_ax, and the one of axis
+    ax depends only on (n_ax, f_ax): it is evaluated once per distinct
+    (table, n_ax) pair and remainder, and every block gathers those
+    factors and multiplies them across axes.
+
+    weights, when given, holds per cell a (k, P) array (batched: (k, B,
+    P)) of complex factors applied to the region terms (the dual
+    modulations).
     """
-    n = np.asarray(n, dtype=int).reshape(-1, domain.dimension)
-    f = np.asarray(f, dtype=float).reshape(-1, domain.dimension)
+    d = domain.dimension
+    f = np.asarray(f, dtype=float)
+    lead = f.shape[:-2]
+    f = f.reshape(-1, *f.shape[-2:])
+    n = np.asarray(n, dtype=int)
+    n = n.reshape(len(f), n.shape[-2], d)
+    batch, rows_total, width = len(f), n.shape[1], f.shape[1]
     lattice = []
     for ci, c in enumerate(domain.cells):
-        phases = np.exp(2j * np.pi * (c.offsets.astype(float) @ f.T))  # (k, P)
+        phases = np.exp(2j * np.pi * (c.offsets.astype(float) @ f.reshape(-1, d).T))
+        phases = phases.reshape(-1, batch, width)  # (k, B, P)
         if weights is not None:
-            phases *= weights[ci]
-        lattice.append(domain.lattice.volume * phases.sum(axis=0))
-    for rows in _chunks(len(n), len(f)):
-        theta = n[rows, None, :] + f[None, :, :]  # (g, P, d)
+            phases *= np.reshape(weights[ci], phases.shape)
+        lattice.append(domain.lattice.volume * phases.sum(axis=0)[:, None, :])
+    # per axis: the table row of every (b, g) entry, and per cell the
+    # one-axis integrals of every distinct (b, n_ax) pair and remainder
+    term = np.repeat(np.arange(batch), rows_total)
+    index, factors = [], []
+    for ax in range(d):
+        key = n[:, :, ax].ravel()
+        first, inverse = _distinct(term, key)
+        index.append(inverse.reshape(batch, rows_total))
+        theta = key[first, None] + f[term[first], :, ax]
         tiny = np.abs(theta) < 1e-12
-        tp = 2j * np.pi * np.where(tiny, 1.0, theta)
+        t = 2j * np.pi * np.where(tiny, 1.0, theta)
+        factors.append([
+            np.where(tiny, b - a, (np.exp(t * b) - np.exp(t * a)) / t)
+            for a, b in (c.box[ax] for c in domain.cells)
+        ])
+    for rows in _chunks(rows_total, batch * width):
         block = 0.0
-        for ci, c in enumerate(domain.cells):
+        for ci in range(len(domain.cells)):
             part = lattice[ci]
-            for ax, (a, b) in enumerate(c.box):
-                t = tp[:, :, ax]
-                part = part * np.where(tiny[:, :, ax], b - a, (np.exp(t * b) - np.exp(t * a)) / t)
+            for ax in range(d):
+                part = part * factors[ax][ci][index[ax][:, rows]]
             block = block + part
-        yield rows, block
+        yield rows, block.reshape(*lead, rows.stop - rows.start, width)
 
 
 def gram(domain: MultiTileDomain, l1, l2) -> complex:
@@ -328,7 +374,7 @@ def gram(domain: MultiTileDomain, l1, l2) -> complex:
     if l1.shape != (domain.dimension,) or l2.shape != (domain.dimension,):
         raise DimensionMismatch("frequencies must be d-vectors")
     theta = domain.lattice.basis.T @ (l1 - l2)
-    _, block = next(_piece_table(domain, np.zeros(domain.dimension, dtype=int), theta))
+    _, block = next(_piece_table(domain, np.zeros((1, domain.dimension), dtype=int), theta[None, :]))
     return complex(block[0, 0])
 
 

@@ -10,12 +10,13 @@ the pointwise value of the per-shift exponential sums of f.  Data can
 be produced exactly from region values (forward_data) or as a radius-
 truncated coefficient sum for a finite exponential combination
 (coefficient_data); the truncated data converges to the exact data as
-the radius grows.  Its inner products come from the batched
-closed-form kernel of expsystem, and the sum over labels is one matrix
-product per chunk of points.  Reconstruction inverts V either densely
-or through the nested Vandermonde recursion, which only ever solves 1D
-systems; make_shifts runs that recursion once per well-conditioned
-cell, so reconstructing its rows is one matrix product.
+the radius grows.  The inner products of all its terms come from one
+batched table of the closed-form kernel of expsystem, and the sum over
+labels is one matrix product per chunk of points.  Reconstruction
+inverts V either densely or through the nested Vandermonde recursion,
+which only ever solves 1D systems; make_shifts runs that recursion
+once per well-conditioned cell, so reconstructing its rows is one
+matrix product.
 
 Both forward_data and reconstruct_grid keep the data row-major and
 scale the small (k, k) matrix rather than the (N, k) data.  A cell
@@ -75,15 +76,15 @@ def flatten_grid(grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_rows(domain: MultiTileDomain, cell_ids, points) -> list[int]:
-    """The distinct cell ids of N data rows; SpecFormatError for an id
-    no cell has, DimensionMismatch for points that are not (N, d)."""
-    present = [int(ci) for ci in np.unique(cell_ids)]
-    for ci in present:
-        if ci < 0 or ci >= len(domain.cells):
-            raise SpecFormatError(f"data references unknown cell {ci}")
+    """The distinct cell ids of N data rows, ascending; SpecFormatError
+    for an id no cell has (the smallest such id), DimensionMismatch for
+    points that are not (N, d)."""
+    unknown = (cell_ids < 0) | (cell_ids >= len(domain.cells))
+    if unknown.any():
+        raise SpecFormatError(f"data references unknown cell {cell_ids[unknown].min()}")
     if points.shape != (len(cell_ids), domain.dimension):
         raise DimensionMismatch(f"points must have shape (N, {domain.dimension}), got {points.shape}")
-    return present
+    return np.flatnonzero(np.bincount(cell_ids, minlength=len(domain.cells))).tolist()
 
 
 def forward_data(
@@ -135,8 +136,13 @@ def coefficient_data(
 
         sum_{|n|_inf <= radius} <f, e_(n,s)> e_(n,s)(x),   x = M u,
 
-    with the inner products evaluated in closed form.  As radius grows
-    this converges to the exact data of forward_data.
+    with the inner products evaluated in closed form by one batched
+    kernel table over all terms: each block holds every term's inner
+    products for a chunk of labels, at most CHUNK entries (but at least
+    one label), so no table is larger than terms x (2 radius + 1)^d x
+    k.  Each label's inner product adds the terms in the order of
+    coeffs.  As radius grows this converges to the exact data of
+    forward_data.
     """
     _require_uniform(shifts, "coefficient data")
     if radius < 0:
@@ -160,12 +166,15 @@ def coefficient_data(
             raise SpecFormatError(f"shift position {s_src} outside 1..{k}")
         terms.append((n_src.astype(int), int(s_src) - 1, complex(c)))
 
-    # <f, e_(n,s)> over the label grid n, one table row per n
+    # <f, e_(n,s)> over the label grid n, one table row per n: one
+    # batched table, block [t] holding term t's inner products
     labels = _label_grid(radius, d)
+    n_terms = np.array([n for n, _, _ in terms], dtype=int).reshape(-1, d)
+    s_terms = np.array([s for _, s, _ in terms], dtype=int)
     inner = np.zeros((len(labels), k), dtype=complex)
-    for n_src, s_src, c in terms:
-        for rows, block in _piece_table(domain, n_src - labels, delta * (js[s_src] - js)):
-            inner[rows] += c * block
+    for rows, block in _piece_table(domain, n_terms[:, None, :] - labels, delta * (js[s_terms, None, :] - js)):
+        for (_, _, c), part in zip(terms, block):
+            inner[rows] += c * part
     # e_(n,s)(x) = exp(2 pi i <u, n>) * exp(2 pi i <u, delta*j_s + eta>)
     values = np.empty((len(cell_ids), k), dtype=complex)
     for rows in _chunks(len(points), len(labels)):

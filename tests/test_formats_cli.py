@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -548,8 +549,8 @@ def test_error_classes_define_exit_codes():
         "InconsistentK", "DuplicateOffset", "OutOfDomain",
     }
     assert {n for n, c in classes.items() if issubclass(c, MathError)} == {
-        "NoPairFound", "NonUniformShifts", "SingularCell", "SingularMatrix",
-        "DuplicateNodes", "PointOnGap",
+        "NoPairFound", "ResidueCollision", "NonUniformShifts", "SingularCell",
+        "SingularMatrix", "DuplicateNodes", "PointOnGap",
     }
 
     def exit_code(exc):
@@ -575,8 +576,10 @@ def test_cli_check_inadmissible_exit_2():
         "--q", "2",
     )
     assert out.returncode == 2
-    assert "z=0 and z=2" in out.stderr
-    assert "mod 2" in out.stderr
+    assert out.stderr == (
+        "error: collision in cell 0, level 1, prefix (): "
+        "children z=0 and z=2 give 0 = 0 (mod 2)\n"
+    )
 
 
 def test_cli_v_without_q_exit_1():
@@ -680,6 +683,10 @@ def test_cli_reconstruct_rejects_sidecar_not_object(tmp_path):
 
 def test_cli_work_budget_exit_1(tmp_path):
     plane = str(DOMAINS / "plane_4tile_2d.json")
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text('[{"n": [0], "s": 1, "re": 1.0}, {"n": [1], "s": 2, "re": 1.0}]')
+    coeffs_2d = tmp_path / "coeffs_2d.json"
+    coeffs_2d.write_text('[{"n": [0, 1], "s": 3, "re": 1.0}]')
     cases = (
         (("verify", "--domain", plane, "--radius", "100"),
          "tests 2572816 label pairs"),
@@ -688,6 +695,12 @@ def test_cli_work_budget_exit_1(tmp_path):
         (("synthesize", "--domain", str(DOMAINS / "twocell_2tile_1d.json"),
           "--grid", "500001", "--out", str(tmp_path / "never.csv")),
          "gives 1000002 sample rows"),
+        (("synthesize", "--domain", str(DOMAINS / "interval_2tile.json"), "--mode", "coeff",
+          "--radius", "400000", "--function", str(coeffs), "--out", str(tmp_path / "never.csv")),
+         "gives 9600012 coefficient work units"),
+        (("synthesize", "--domain", str(DOMAINS / "strip_3tile_2d.json"), "--mode", "coeff",
+          "--radius", "2000", "--function", str(coeffs_2d), "--out", str(tmp_path / "never.csv")),
+         "gives 1072536067 coefficient work units"),
     )
     for args, size in cases:
         out = _run(*args)
@@ -746,6 +759,10 @@ def test_cli_bad_coeff_file_exit_1(tmp_path):
     assert "s must lie in 1..2" in out.stderr
 
 
+# finite coefficients whose sum overflows in the data
+OVERFLOW = '[{"n": [0], "s": 1, "re": 1e308}, {"n": [1], "s": 1, "re": 1e308}]'
+
+
 @pytest.mark.parametrize(
     "coeffs,flags,message",
     [
@@ -756,17 +773,26 @@ def test_cli_bad_coeff_file_exit_1(tmp_path):
         ('[{"n": [0], "s": 1.9, "re": 1.0}]', (), "term 0: s must lie in 1..2"),
         ('[{"n": [0], "s": 1, "re": "1e999"}]', (), "term 0: re and im must be finite numbers"),
         ('[{"n": [0], "s": 1, "im": 1e999}]', (), "term 0: re and im must be finite numbers"),
+        (OVERFLOW, (), "data values of sample row 0 are not finite"),
+        (OVERFLOW, ("--mode", "coeff"), "data values of sample row 0 are not finite"),
+        ('[{"n": [0], "s": 1, "re": 1e308}, {"n": [0], "s": 1, "re": 1e308}]', (),
+         "region values of sample row 0 are not finite"),
     ],
-    ids=["seed", "n-float", "n-string", "n-huge", "s-float", "re-string", "im-inf"],
+    ids=["seed", "n-float", "n-string", "n-huge", "s-float", "re-string", "im-inf",
+         "overflow-data", "overflow-coeff-data", "overflow-region-values"],
 )
 def test_cli_synthesize_malformed_input_exit_1(tmp_path, coeffs, flags, message):
+    """Exit 1 naming the term, flag or row, with no numpy warning leaked
+    (huge but finite coefficients overflow in the arithmetic)."""
     if coeffs is not None:
         (tmp_path / "coeffs.json").write_text(coeffs)
-        flags = ("--function", str(tmp_path / "coeffs.json"))
-    out = CliRunner().invoke(main, [
-        "synthesize", "--domain", str(DOMAINS / "interval_2tile.json"), "--grid", "2",
-        *flags, "--out", str(tmp_path / "never.csv"),
-    ])
+        flags = (*flags, "--function", str(tmp_path / "coeffs.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = CliRunner().invoke(main, [
+            "synthesize", "--domain", str(DOMAINS / "interval_2tile.json"), "--grid", "2",
+            *flags, "--out", str(tmp_path / "never.csv"),
+        ])
     assert out.exit_code == 1, out.output
     assert message in out.stderr
     assert not (tmp_path / "never.csv").exists()

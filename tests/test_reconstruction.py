@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,32 @@ def test_coefficient_truncation_converges():
     assert errs[-1] < errs[0]
 
 
+@given(st.data())
+def test_batched_terms_match_single_term_sums(data):
+    """Coefficient data of many terms, built from one batched kernel
+    table, equals the sum of one-term calls: on random tilings in d =
+    1..3, with more terms than shift positions (so positions repeat)
+    and one label component near +-10^6."""
+    dom = data.draw(tilings())
+    d, k = dom.dimension, dom.k
+    sh = make_shifts(dom, find_pair(dom))
+    assume(sh.uniform)
+    label = st.tuples(*[st.integers(-3, 3)] * d)
+    terms = data.draw(st.lists(
+        st.tuples(label, st.integers(1, k), st.complex_numbers(max_magnitude=2.0)),
+        min_size=k + 1, max_size=k + 6, unique_by=lambda t: t[:2],
+    ))
+    far = data.draw(st.sampled_from([-1, 1])) * 10**6 + data.draw(st.integers(-3, 3))
+    (n0, s0, c0), *rest = terms
+    coeffs = {((far,) + n0[1:], s0): c0, **{(n, s): c for n, s, c in rest}}
+    ids, pts = flatten_grid(sample_grid(dom, 2))
+    radius = data.draw(st.integers(0, 2))
+    many = coefficient_data(dom, sh, coeffs, ids, pts, radius).values
+    singles = [coefficient_data(dom, sh, {key: c}, ids, pts, radius).values for key, c in coeffs.items()]
+    scale = sum(np.abs(v).max() for v in singles)
+    assert np.abs(many - sum(singles)).max() <= 1e-14 * max(scale, 1e-300)
+
+
 def test_skipped_rows():
     """forward_data trusts a row's cell id, so a wrong-cell row gets the
     claimed cell's V; reconstruct_grid checks the box and skips it."""
@@ -324,6 +354,37 @@ def test_block_diagnostics_present():
     assert levels == {1, 2}
     for _, kappa in res.blocks[0]:
         assert kappa >= 1.0
+
+
+def test_hot_path_imports_no_numpy_ma():
+    """forward_data, reconstruct_grid, verify_biorthogonality and
+    coefficient_data, on rows out of cell order, leave numpy.ma
+    unimported (np.unique imports it, which costs every command line
+    process 10-17 ms)."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import multitile as mt\n"
+        "from builders import ALL\n"
+        "dom = ALL['twocell_2tile_1d']()\n"
+        "sh = mt.make_shifts(dom, mt.find_pair(dom))\n"
+        "ids, pts = mt.flatten_grid(mt.sample_grid(dom, 3))\n"
+        "perm = np.random.default_rng(0).permutation(len(ids))\n"
+        "ids, pts = ids[perm], pts[perm]\n"
+        "data = mt.forward_data(dom, sh, ids, pts, np.ones((len(ids), dom.k), complex))\n"
+        "mt.reconstruct_grid(dom, sh, data, oracle=True)\n"
+        "mt.verify_biorthogonality(dom, sh, radius=2)\n"
+        "mt.coefficient_data(dom, sh, {((1,), 2): 1.0, ((0,), 2): 0.5}, ids, pts, 2)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_forward_data_rejects_bad_rows():

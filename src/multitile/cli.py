@@ -27,7 +27,7 @@ from .admissibility import (
     check as check_admissible,
     find_pair,
 )
-from .domain import MultiTileDomain, _region_points, sample_grid
+from .domain import MultiTileDomain, _cell_rows, _region_points, _unowned, sample_grid
 from .errors import InputError, MathError, ResidueCollision, SpecFormatError
 from .expsystem import (
     ShiftSet,
@@ -237,6 +237,15 @@ def _check_finite_rows(values: np.ndarray, what: str) -> None:
         )
 
 
+def _skip_reason(domain: MultiTileDomain, cell: int, u: np.ndarray) -> str:
+    """Why reconstruct_grid skips a sample row naming the cell with the
+    point u: u lies outside [0,1)^d, on a gap between cell boxes, or
+    outside the box of the cell."""
+    if _cell_rows(domain, u[None, :])[0] < 0:
+        return str(_unowned(u))
+    return f"point {u} lies outside the box of cell {cell}, which the row names"
+
+
 def _vec_str(vec) -> str:
     return "(" + ", ".join(_num_str(x) for x in np.asarray(vec).ravel()) + ")"
 
@@ -323,19 +332,18 @@ def cmd_dual(domain_path, v_text, q_text, eta_text, n_text, s_pos, grid_n, out_p
 
     ids, us = flatten_grid(sample_grid(domain, grid_n))
     pts = _region_points(domain, ids, us)
-    regions = np.tile(np.arange(1, domain.k + 1), len(ids))
-    rows = np.repeat(np.arange(len(ids)), domain.k)
     vals = dual_eval(domain, shifts, n, s_pos, pts)
     click.echo(f"evaluated {len(pts)} points")
     if out_path:
         result = ReconstructionResult(
-            points=pts,
             values=vals,
-            source_rows=rows,
-            regions=regions,
             residuals=np.full(len(ids), np.nan),
             skipped=(),
             blocks={},
+            kept_rows=np.arange(len(ids)),
+            kept_cells=ids,
+            kept_points=us,
+            domain=domain,
         )
         write_result(out_path, result, d)
 
@@ -498,6 +506,11 @@ def cmd_reconstruct(domain_path, v_text, q_text, eta_text, samples_path, oracle,
     shifts, _ = _resolve_shifts(domain, v_text, q_text, eta_text, meta=meta)
     _check_sidecar_indices(shifts, meta)
     result = reconstruct_grid(domain, shifts, data, oracle=oracle)
+    if len(result.skipped) == len(data.cell_ids) > 0:
+        raise SpecFormatError(
+            f"{samples_path}: every sample row was skipped; row 2: "
+            + _skip_reason(domain, int(data.cell_ids[0]), data.points[0])
+        )
     click.echo(
         f"reconstructed {len(result.values)} values from "
         f"{len(data.cell_ids) - len(result.skipped)} rows "

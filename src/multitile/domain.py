@@ -200,14 +200,21 @@ def _cell_groups(cells: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
 def _region_points(domain: MultiTileDomain, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
     """omega for every region above every row of an (N, d) array of
     points owned by the given cells: an (N*k, d) array holding, row by
-    row, the points of regions 1..k.
+    row, the points of regions 1..k."""
+    return _offset_images(domain, cells, u @ domain.lattice.basis.T)
+
+
+def _offset_images(domain: MultiTileDomain, cells: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """_region_points from the images base = M u of the points.
 
     M(u + z) is computed as M u plus the cell's offset image M z, so
-    the (N, k, d) result is written once, one axis at a time.
+    the (N, k, d) result is written once, one axis at a time.  Callers
+    that need the points of a block of rows pass a block of base, which
+    gives exactly the rows of the whole result; a product M u of the
+    block alone may round differently from the whole one.
     """
     basis_t = domain.lattice.basis.T
-    base = u @ basis_t
-    out = np.empty((len(u), domain.k, domain.dimension))
+    out = np.empty((len(base), domain.k, domain.dimension))
     for ci, rows in _cell_groups(cells):
         images = domain.cells[ci].offsets @ basis_t
         for ax in range(domain.dimension):

@@ -10,7 +10,8 @@ CRLF line endings, floats as %.17g with -0.0 folded to 0, cell ids as
 plain integers, and an empty residual field where no oracle ran.
 Non-finite values are refused on write and on read.  All writes go
 through a temporary file in the target directory followed by an
-atomic rename.
+atomic rename; result tables are formatted and written to it in
+chunks of lines, so their size in memory is bounded.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import csv
 import json
 import os
 import tempfile
-from typing import Mapping, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .domain import MultiTileDomain, make_cell, make_domain
+from .domain import MultiTileDomain, _offset_images, make_cell, make_domain
 from .errors import SpecFormatError
 from .expsystem import ShiftSet
 from .lattice import make_lattice
@@ -43,6 +45,7 @@ __all__ = [
 
 DOMAIN_KEYS = {"dimension", "lattice_basis", "cells"}
 CELL_KEYS = {"box", "offsets"}
+CHUNK_LINES = 2**14  # result CSV lines formatted and written at a time
 
 
 def _finite_table(table: np.ndarray) -> np.ndarray:
@@ -82,13 +85,21 @@ def canonical_json(obj) -> str:
     raise SpecFormatError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename into place."""
+def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write text via a sibling temp file and rename it into place.
+
+    chunks is one string or an iterable of strings, written in order as
+    they are produced; if producing or writing one fails, the temp file
+    is removed and the target is left as it was.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -164,11 +175,15 @@ def _sidecar_path(path: str) -> str:
     return path + ".meta.json"
 
 
-def _csv_text(header: Sequence[str], columns: Sequence[np.ndarray], row_format: str) -> str:
-    """The header line and one row per row of the columns (arrays set
-    side by side), each row formatted by row_format."""
+def _csv_rows(columns: Sequence[np.ndarray], row_format: str) -> str:
+    """One line per row of the columns (arrays set side by side), each
+    formatted by row_format."""
     cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
-    return ",".join(header) + "\r\n" + (row_format * len(cells)) % tuple(cells.ravel())
+    return (row_format * len(cells)) % tuple(cells.ravel())
+
+
+def _csv_header(header: Sequence[str]) -> str:
+    return ",".join(header) + "\r\n"
 
 
 def write_samples(
@@ -189,7 +204,7 @@ def write_samples(
     values = np.ascontiguousarray(data.values, dtype=complex).view(float)
     table = _finite_table(np.concatenate([data.points, values], axis=1))
     row_format = "%d" + ",%.17g" * table.shape[1] + "\r\n"
-    atomic_write_text(path, _csv_text(header, [data.cell_ids, table], row_format))
+    atomic_write_text(path, (_csv_header(header), _csv_rows([data.cell_ids, table], row_format)))
 
     meta = {
         "format": "multitile-samples",
@@ -274,15 +289,41 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
 
 
 def write_result(path: str, result: ReconstructionResult, dimension: int) -> None:
-    """Write reconstructed values as CSV rows (point, value, residual)."""
+    """Write reconstructed values as CSV rows (point, value, residual).
+
+    One line per value, in the order of result.values: the region
+    point, the value and the residual of its data row, the residual
+    field empty where it is NaN (no oracle ran).  The lines are
+    formatted and written CHUNK_LINES at a time (at least one kept row
+    of k lines per chunk), each chunk's region points computed from its
+    kept rows, so neither the whole table nor the whole text is ever
+    held, and the result's points, source_rows and regions are never
+    read.  A non-finite entry raises on the first one in line order and
+    leaves the target as it was.
+    """
     header = [f"y_{i + 1}" for i in range(dimension)] + ["Re_f", "Im_f", "residual"]
+    atomic_write_text(path, chain((_csv_header(header),), _result_rows(result)))
+
+
+def _result_rows(result: ReconstructionResult) -> Iterator[str]:
+    """The body lines of write_result, one string per chunk of kept rows."""
+    domain = result.domain
+    k = domain.k
+    # M u of every kept row, so each chunk's region points are exactly
+    # the rows of result.points
+    base = result.kept_points @ domain.lattice.basis.T
     values = np.ascontiguousarray(result.values, dtype=complex).view(float).reshape(-1, 2)
-    # a NaN residual means no oracle ran and is written as an empty field
-    residuals, rows = result.residuals, result.source_rows
-    missing = np.isnan(residuals)
-    table = _finite_table(
-        np.column_stack([result.points, values, np.where(missing, 0.0, residuals)[rows]])
-    )
-    text = np.array(["" if m else "%.17g" % r for m, r in zip(missing, residuals + 0.0)], dtype=object)
-    row_format = "%.17g," * (table.shape[1] - 1) + "%s\r\n"
-    atomic_write_text(path, _csv_text(header, [table[:, :-1], text[rows]], row_format))
+    row_format = "%.17g," * (domain.dimension + 2) + "%s\r\n"
+    step = max(1, CHUNK_LINES // k)
+    for start in range(0, len(result.kept_rows), step):
+        rows = slice(start, start + step)
+        residuals = result.residuals[result.kept_rows[rows]] + 0.0
+        # a NaN residual means no oracle ran and is written as an empty field
+        missing = np.isnan(residuals)
+        table = _finite_table(np.column_stack([
+            _offset_images(domain, result.kept_cells[rows], base[rows]),
+            values[start * k:(start + step) * k],
+            np.repeat(np.where(missing, 0.0, residuals), k),
+        ]))
+        text = np.array(["" if m else "%.17g" % r for m, r in zip(missing, residuals)], dtype=object)
+        yield _csv_rows([table[:, :-1], np.repeat(text, k)], row_format)

@@ -23,11 +23,18 @@ scale the small (k, k) matrix rather than the (N, k) data.  A cell
 whose rows form one contiguous run, as in every flatten_grid layout
 and every file synthesize writes, is multiplied through views and
 written in place; rows in any other order take one gather and one
-scatter per cell and agree with it to rounding."""
+scatter per cell and agree with it to rounding.
+
+A ReconstructionResult stores what the solve produces: the k region
+values of each kept row, the kept rows with their cells and points of
+[0,1)^d, the residuals and the skipped rows.  Its (M*k)-long points,
+source_rows and regions are pure functions of those and are computed
+only when first read, never by reconstruct_grid."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -218,13 +225,38 @@ def reconstruct_point(tree: FrequencyTree, delta, F) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    points: np.ndarray        # (N*k, d) points of the domain
-    values: np.ndarray        # (N*k,) reconstructed values there
-    source_rows: np.ndarray   # (N*k,) originating data row
-    regions: np.ndarray       # (N*k,) 1-based region index
+    """Region values at the kept data rows, as the solve produced them.
+
+    values holds the k region values of each of the M kept rows, row by
+    row (region r of kept row i at i*k + r - 1).  The kept rows are
+    stored with their cell ids and [0,1)^d points.  points, source_rows
+    and regions, one entry per value, are computed from them on first
+    access and cached.
+    """
+
+    values: np.ndarray        # (M*k,) reconstructed values
     residuals: np.ndarray     # (N,) nested-vs-dense relative residual, NaN if no oracle
     skipped: tuple[int, ...]  # data rows whose grid point was unusable
     blocks: dict[int, tuple[tuple[int, float], ...]]  # cell -> per-block (level, kappa)
+    kept_rows: np.ndarray     # (M,) data rows that were reconstructed, ascending
+    kept_cells: np.ndarray    # (M,) their cell ids
+    kept_points: np.ndarray   # (M, d) their points of [0,1)^d
+    domain: MultiTileDomain   # maps the kept points to the region points
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """(M*k, d) points of the domain, regions 1..k of each kept row."""
+        return _region_points(self.domain, self.kept_cells, self.kept_points)
+
+    @cached_property
+    def source_rows(self) -> np.ndarray:
+        """(M*k,) originating data row of each value."""
+        return np.repeat(self.kept_rows, self.domain.k)
+
+    @cached_property
+    def regions(self) -> np.ndarray:
+        """(M*k,) 1-based region index of each value."""
+        return np.tile(np.arange(1, self.domain.k + 1), len(self.kept_rows))
 
 
 def reconstruct_grid(
@@ -283,11 +315,12 @@ def reconstruct_grid(
             )
 
     return ReconstructionResult(
-        points=_region_points(domain, usable_cells, data.points if all_usable else data.points[usable]),
         values=values.ravel(),
-        source_rows=np.repeat(usable, k),
-        regions=np.tile(np.arange(1, k + 1), len(usable)),
         residuals=residuals,
         skipped=tuple(int(row) for row in np.nonzero(~usable_mask)[0]),
         blocks=blocks,
+        kept_rows=usable,
+        kept_cells=usable_cells,
+        kept_points=data.points if all_usable else data.points[usable],
+        domain=domain,
     )

@@ -29,6 +29,8 @@ from multitile import (
     forward_data,
     frequency_vector,
     load_domain,
+    make_domain,
+    make_lattice,
     make_shifts,
     omega,
     parse_domain,
@@ -41,8 +43,8 @@ from multitile import (
     write_samples,
 )
 
-from builders import ALL, domain_of, twocell_2tile_2d
-from multitile import errors
+from builders import ALL, domain_of, tilings, twocell_2tile_2d
+from multitile import errors, formats
 from multitile.cli import _guard, main
 from oracles import read_samples_reference, write_result_reference, write_samples_reference
 
@@ -312,29 +314,65 @@ def test_write_samples_matches_reference(data):
 
 @given(st.data())
 def test_write_result_matches_reference(data):
-    d = data.draw(st.integers(1, 3))
-    n = data.draw(st.integers(0, 50))
-    table, rng = _draw_table(data, (n, d + 2))
-    sources = data.draw(st.integers(1, 20))
-    residuals, _ = _draw_table(data, (sources,))
-    # without an oracle every residual is NaN; with one, skipped rows' are
+    """write_result equals the per-line reference writer on records of
+    random kept rows: gaps between the rows, random cells (whose boxes
+    need not hold the points), edge-case floats with at times a
+    non-finite point or value, and residuals that are all NaN (no
+    oracle) or finite with NaN at the skipped rows."""
+    dom = data.draw(tilings())
+    d, k = dom.dimension, dom.k
+    n = data.draw(st.integers(0, 40))
+    table, rng = _draw_table(data, (n, d + 2 * k))
+    kept = np.flatnonzero(rng.random(n) < data.draw(st.sampled_from([0.3, 0.8, 1.0])))
+    residuals, _ = _draw_table(data, (n,))
+    skipped = np.setdiff1d(np.arange(n), kept)
     if data.draw(st.booleans()):
-        residuals[rng.random(sources) < 0.3] = np.nan
+        residuals[skipped] = np.nan
     else:
         residuals[:] = np.nan
     result = ReconstructionResult(
-        points=table[:, :d],
-        values=np.ascontiguousarray(table[:, d:]).view(complex)[:, 0],
-        source_rows=rng.integers(0, sources, size=n),
-        regions=np.ones(n, dtype=int),
+        values=np.ascontiguousarray(table[kept, d:]).view(complex).ravel(),
         residuals=residuals,
-        skipped=(),
+        skipped=tuple(skipped.tolist()),
         blocks={},
+        kept_rows=kept,
+        kept_cells=rng.integers(0, len(dom.cells), size=len(kept)),
+        kept_points=table[kept, :d],
+        domain=dom,
     )
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # huge points overflow to inf
         got = _outcome(lambda p: write_result(p, result, d), f"{tmp}/a.csv")
         want = _outcome(lambda p: write_result_reference(p, result, d), f"{tmp}/b.csv")
     assert got == want
+
+
+def test_write_result_chunks_do_not_change_bytes(tmp_path, monkeypatch):
+    """Chunks of one kept row, or of a row count that does not divide
+    the kept rows, write the same bytes as the default chunk size, on a
+    sheared lattice (whose region points round) with rows out of cell
+    order, one skipped row and the oracle on."""
+    basis = [[1.3, -0.7], [0.2, 0.9]]
+    dom = make_domain(make_lattice(np.array(basis)), twocell_2tile_2d().cells)
+    sh = make_shifts(dom, find_pair(dom))
+    ids, pts = flatten_grid(sample_grid(dom, 5))
+    rng = np.random.default_rng(8)
+    perm = rng.permutation(len(ids))
+    ids, pts = ids[perm], pts[perm]
+    pts[3] = [0.5, 1.5]  # outside the domain
+    y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
+    data = forward_data(dom, sh, ids, pts, y)
+    result = reconstruct_grid(dom, sh, data, oracle=True)
+    assert result.skipped == (3,)
+    kept = len(result.kept_rows)
+    assert kept == 49 and formats.CHUNK_LINES >= kept * dom.k
+    write_result(str(tmp_path / "whole.csv"), result, dom.dimension)
+    want = (tmp_path / "whole.csv").read_bytes()
+    assert want.count(b"\r\n") == 1 + kept * dom.k
+    for lines in (1, 3 * dom.k, 5 * dom.k + 1):  # 1, 3 and 5 rows per chunk
+        monkeypatch.setattr(formats, "CHUNK_LINES", lines)
+        write_result(str(tmp_path / "chunked.csv"), result, dom.dimension)
+        assert (tmp_path / "chunked.csv").read_bytes() == want, lines
 
 
 def _set_field(row, col, text):
@@ -679,6 +717,37 @@ def test_cli_reconstruct_rejects_sidecar_not_object(tmp_path):
     out = _run("reconstruct", "--domain", domain, "--samples", str(samples))
     assert out.returncode == 1, out.stderr
     assert "expected a JSON object" in out.stderr
+
+
+def test_cli_reconstruct_every_row_skipped_exit_1(tmp_path):
+    """Samples whose rows all name the other cell, or all lie outside
+    [0,1), reconstruct nothing: exit 1 naming the first row and why,
+    with no output file.  A header-only file still reconstructs its
+    zero rows."""
+    domain = str(DOMAINS / "twocell_2tile_1d.json")
+    samples = tmp_path / "samples.csv"
+    out = _run("synthesize", "--domain", domain, "--grid", "4", "--out", str(samples))
+    assert out.returncode == 0, out.stderr
+    head, *body = samples.read_text().splitlines(keepends=True)
+    swapped = "".join(str(1 - int(line[0])) + line[1:] for line in body)
+    outside = "".join(line.split(",", 2)[0] + ",1.25," + line.split(",", 2)[2] for line in body)
+    result = tmp_path / "r.csv"
+    for rows, reason in (
+        (swapped, "point [0.0625] lies outside the box of cell 1, which the row names"),
+        (outside, "point [1.25] lies outside [0,1)^d"),
+    ):
+        samples.write_text(head + rows)
+        out = _run("reconstruct", "--domain", domain, "--samples", str(samples),
+                   "--oracle", "--out", str(result))
+        assert out.returncode == 1, out.stderr
+        assert out.stdout == ""
+        assert out.stderr == f"error: {samples}: every sample row was skipped; row 2: {reason}\n"
+        assert not result.exists()
+    samples.write_text(head)
+    out = _run("reconstruct", "--domain", domain, "--samples", str(samples), "--oracle", "--out", str(result))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "reconstructed 0 values from 0 rows (0 skipped)\nmax oracle residual = nan\n"
+    assert result.read_bytes() == b"y_1,Re_f,Im_f,residual\r\n"
 
 
 def test_cli_work_budget_exit_1(tmp_path):

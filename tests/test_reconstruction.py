@@ -33,6 +33,7 @@ from multitile import (
     shift_index_set,
     verify_biorthogonality,
 )
+from multitile.domain import _region_points
 from multitile.vandermonde import COND_LIMIT, _solve_columns
 
 from builders import ALL, domain_of, tilings
@@ -415,6 +416,39 @@ def test_round_trip_on_random_tilings(data):
     assert np.max(res.residuals) <= 1e-12
     if sh.uniform:
         assert verify_biorthogonality(dom, sh, radius=1) <= 1e-10
+
+
+@given(st.data())
+def test_index_fields_match_eager_formulas(data):
+    """points, source_rows and regions, computed on first access, equal
+    the formulas reconstruct_grid once applied to the kept rows exactly,
+    and a second access returns the same array.  Some rows are moved to
+    random points, so they leave their cell's box or [0,1)^d, and rows
+    may come out of cell order."""
+    dom = data.draw(tilings())
+    d, k = dom.dimension, dom.k
+    ids, pts = flatten_grid(sample_grid(dom, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    moved = rng.random(len(ids)) < 0.3
+    pts[moved] = rng.uniform(-0.5, 1.5, size=(moved.sum(), d))
+    if data.draw(st.booleans()):
+        perm = rng.permutation(len(ids))
+        ids, pts = ids[perm], pts[perm]
+    y = rng.normal(size=(len(ids), k)) + 1j * rng.normal(size=(len(ids), k))
+    sh = make_shifts(dom, find_pair(dom))
+    res = reconstruct_grid(dom, sh, forward_data(dom, sh, ids, pts, y), oracle=data.draw(st.booleans()))
+    kept = np.setdiff1d(np.arange(len(ids)), res.skipped)
+    assert np.array_equal(res.kept_rows, kept)
+    eager = (
+        _region_points(dom, ids[kept], pts[kept]),
+        np.repeat(kept, k),
+        np.tile(np.arange(1, k + 1), len(kept)),
+    )
+    for name, want in zip(("points", "source_rows", "regions"), eager):
+        got = getattr(res, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert getattr(res, name) is got, name
+    assert np.abs(res.values - y[res.source_rows, res.regions - 1]).max(initial=0.0) <= 1e-12
 
 
 def _by_source_row(res, rows, k):

@@ -128,14 +128,6 @@ def validate_cells(cells) -> int:
     return k
 
 
-def validate(domain: MultiTileDomain) -> int:
-    """Re-run the domain invariants; returns the multiplicity k."""
-    k = validate_cells(domain.cells)
-    if k != domain.k:
-        raise InconsistentK("stored multiplicity disagrees with the cells")
-    return k
-
-
 def cell_index_at(domain: MultiTileDomain, u) -> int:
     """Index of the cell whose half-open box owns u in [0,1)^d."""
     u = np.asarray(u, dtype=float)

@@ -37,7 +37,7 @@ from .errors import (
     SpecFormatError,
 )
 from .freqtree import shift_index_set
-from .vandermonde import COND_LIMIT, _block_sigmas, _conditions, _level_norms, _solve_columns
+from .vandermonde import COND_LIMIT, _conditions, _level_norms, _solve_columns
 
 SINGULAR_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -136,14 +136,16 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
         sigma = np.linalg.svd(V, compute_uv=False)
         dual = None if sigma[-1] < SINGULAR_TOL else domain.k * V.T * np.linalg.inv(V)
         vectors = tree.frequencies.vectors
-        blocks = tuple(_block_sigmas(vectors, tuple(delta)))
-        solve = None
-        # every block of a routed cell passes _solve_1d's own conditioning
-        # test, so this recursion never warns
-        if dual is not None and max(
-            [sigma[0] / sigma[-1]] + [kappa for _, kappa in _conditions(blocks)]
-        ) <= COND_LIMIT:
-            solve = _solve_columns(vectors, js, delta, np.eye(domain.k, dtype=complex))
+        # one walk of the recursion gives the blocks and the solve matrix:
+        # on the k unit vectors when a matrix may be kept, else on no
+        # columns; a block above COND_LIMIT drops the matrix
+        blocks: list = []
+        walk = dual is not None and sigma[0] / sigma[-1] <= COND_LIMIT
+        eye = np.eye(domain.k, domain.k if walk else 0, dtype=complex)
+        solve = _solve_columns(vectors, js, delta, eye, blocks)
+        blocks = tuple(blocks)
+        if not (walk and all(kappa <= COND_LIMIT for _, kappa in _conditions(blocks))):
+            solve = None
         for a in (V, sigma, dual, solve):
             if a is not None:
                 a.setflags(write=False)
@@ -379,8 +381,8 @@ def gram(domain: MultiTileDomain, l1, l2) -> complex:
 
 
 def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> np.ndarray:
-    """Evaluate the dual generator of basis label (n, s) at points of
-    the domain.
+    """Evaluate the dual generator of basis label (n, s) at an (N, d)
+    array of points of the domain; returns the (N,) values.
 
     On the piece of region r over cell c the dual is the exponential
     e_l itself times the constant k * V[s, r] * V^{-1}[r, s].  All
@@ -391,24 +393,13 @@ def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> n
     l = frequency_vector(domain, shifts, n, s)
     duals = [cell_system(domain, shifts, ci).dual for ci in range(len(domain.cells))]
     pts = np.asarray(points, dtype=float)
-    single = False
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-        single = True
-    elif pts.ndim == 1:
-        if domain.dimension == 1:
-            pts = pts.reshape(-1, 1)
-        else:
-            pts = pts.reshape(1, -1)
-            single = True
-    if pts.shape[1:] != (domain.dimension,):
+    if pts.ndim != 2 or pts.shape[1] != domain.dimension:
         raise DimensionMismatch(
             f"points have shape {pts.shape}, expected (N, {domain.dimension})"
         )
     regions, _, cells = _omega_inverse_rows(domain, pts)
     factors = np.stack([w[:, s - 1] for w in duals])  # (cells, k)
-    out = np.exp(2j * np.pi * (pts @ l)) * factors[cells, regions - 1]
-    return out[0] if single else out
+    return np.exp(2j * np.pi * (pts @ l)) * factors[cells, regions - 1]
 
 
 def verify_biorthogonality(

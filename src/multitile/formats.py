@@ -20,7 +20,7 @@ import csv
 import json
 import os
 import tempfile
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -45,7 +45,7 @@ __all__ = [
 
 DOMAIN_KEYS = {"dimension", "lattice_basis", "cells"}
 CELL_KEYS = {"box", "offsets"}
-CHUNK_LINES = 2**14  # result CSV lines formatted and written at a time
+CHUNK_LINES = 2**14  # result CSV lines written, or sample rows read, at a time
 
 
 def _finite_table(table: np.ndarray) -> np.ndarray:
@@ -223,45 +223,47 @@ def write_samples(
 
 
 def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Optional[dict]]:
-    """Read a sample CSV; returns the data and the sidecar if present."""
+    """Read a sample CSV; returns the data and the sidecar if present.
+
+    The body is parsed CHUNK_LINES rows at a time, so the fields of at
+    most one chunk are held as strings.  Errors name the same row, in
+    the same order of precedence, as a parse of the whole body: the
+    first malformed row of the file, else its first non-finite row.
+    """
     d = domain.dimension
     k = domain.k
     want = 1 + d + 2 * k
+    ids, tables = [], []
+    non_finite = None
     try:
         with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise SpecFormatError(f"{path}: empty sample file")
+            if len(header) != want:
+                raise SpecFormatError(
+                    f"{path}: expected {want} columns for dimension {d}, k {k}; "
+                    f"got {len(header)}"
+                )
+            first = 2  # file row of the chunk's first body row
+            while True:
+                cell_ids, table = _parse_rows(path, list(islice(reader, CHUNK_LINES)), want, first)
+                ids.append(cell_ids)
+                tables.append(table)
+                finite = np.isfinite(table).all(axis=1)
+                if non_finite is None and not finite.all():
+                    non_finite = int(np.argmin(finite)) + first
+                first += len(table)
+                if len(table) < CHUNK_LINES:
+                    break
     except OSError as exc:
         raise SpecFormatError(f"{path}: {exc}") from None
-    if not rows:
-        raise SpecFormatError(f"{path}: empty sample file")
-    if len(rows[0]) != want:
-        raise SpecFormatError(
-            f"{path}: expected {want} columns for dimension {d}, k {k}; "
-            f"got {len(rows[0])}"
-        )
-    # numpy parses each string with Python's float() and int(); the id
-    # column, which int() decides, is also parsed as float and dropped.
-    # A row of the wrong length makes the array ragged or the reshape
-    # fail.  On any failure the loop names the first bad row.
-    body = rows[1:]
-    try:
-        table = np.array(body, dtype=float).reshape(len(body), want)[:, 1:]
-        cell_ids = np.array([row[0] for row in body], dtype=int)
-    except (ValueError, OverflowError):
-        for i, row in enumerate(body):
-            if len(row) != want:
-                raise SpecFormatError(f"{path}: row {i + 2} has {len(row)} columns") from None
-            try:
-                np.array(row[:1], dtype=int), np.array(row[1:], dtype=float)
-            except (ValueError, OverflowError) as exc:
-                raise SpecFormatError(f"{path}: row {i + 2}: {exc}") from None
-        raise
-    points = np.ascontiguousarray(table[:, :d])
-    values = np.ascontiguousarray(table[:, d:]).view(complex)
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite)) + 2
-        raise SpecFormatError(f"{path}: row {row}: non-finite point or value")
+    if non_finite is not None:
+        raise SpecFormatError(f"{path}: row {non_finite}: non-finite point or value")
+    cell_ids = np.concatenate(ids)
+    points = np.concatenate([table[:, :d] for table in tables])
+    values = np.concatenate([table[:, d:] for table in tables]).view(complex)
 
     meta = None
     sidecar = _sidecar_path(path)
@@ -286,6 +288,28 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
         radius=radius,
     )
     return data, meta
+
+
+def _parse_rows(path: str, body: list, want: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell ids and the (n, want - 1) float table of n sample body rows,
+    the first of them row `first` of the file."""
+    # numpy parses each string with Python's float() and int(); the id
+    # column, which int() decides, is also parsed as float and dropped.
+    # A row of the wrong length makes the array ragged or the reshape
+    # fail.  On any failure the loop names the first bad row.
+    try:
+        table = np.array(body, dtype=float).reshape(len(body), want)[:, 1:]
+        cell_ids = np.array([row[0] for row in body], dtype=int)
+    except (ValueError, OverflowError):
+        for i, row in enumerate(body, start=first):
+            if len(row) != want:
+                raise SpecFormatError(f"{path}: row {i} has {len(row)} columns") from None
+            try:
+                np.array(row[:1], dtype=int), np.array(row[1:], dtype=float)
+            except (ValueError, OverflowError) as exc:
+                raise SpecFormatError(f"{path}: row {i}: {exc}") from None
+        raise
+    return cell_ids, table
 
 
 def write_result(path: str, result: ReconstructionResult, dimension: int) -> None:

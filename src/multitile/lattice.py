@@ -77,13 +77,3 @@ def _reduce_rows(lattice: Lattice, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     u[carry] = 0.0
     z[carry] += 1.0
     return u, z.astype(int)
-
-
-def dual_point(lattice: Lattice, z) -> np.ndarray:
-    """Dual lattice point M^{-T}·z for an integer coordinate vector z."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (lattice.dimension,):
-        raise DimensionMismatch(
-            f"coordinate vector has shape {z.shape}, expected ({lattice.dimension},)"
-        )
-    return lattice.dual_basis @ z

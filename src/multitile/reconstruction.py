@@ -49,8 +49,7 @@ from .expsystem import (
     _require_uniform,
     cell_system,
 )
-from .freqtree import FrequencyTree, shift_index_set
-from .vandermonde import _conditions, _solve_columns
+from .vandermonde import _conditions, _solve_columns, _warn_ill_conditioned
 
 __all__ = [
     "SpectralData",
@@ -58,7 +57,6 @@ __all__ = [
     "flatten_grid",
     "forward_data",
     "coefficient_data",
-    "reconstruct_point",
     "reconstruct_direct",
     "reconstruct_grid",
 ]
@@ -205,24 +203,6 @@ def reconstruct_direct(V, F) -> np.ndarray:
         raise SingularMatrix(f"dense solve failed: {exc}") from None
 
 
-def reconstruct_point(tree: FrequencyTree, delta, F) -> np.ndarray:
-    """Nested solve of V y = F for one point's data vector.
-
-    F may be a mapping keyed by shift index tuples or a sequence in the
-    order of the tree's shift index set.  The result is ordered like
-    the tree's frequency vectors.
-    """
-    order = shift_index_set(tree).indices
-    if isinstance(F, Mapping):
-        F = [F[j] for j in order]
-    F = np.asarray(F, dtype=complex)
-    if F.shape != (len(order),):
-        raise DimensionMismatch(
-            f"data vector must have length {len(order)}, got {F.shape}"
-        )
-    return _solve_columns(tree.frequencies.vectors, order, delta, F[:, None])[:, 0]
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Region values at the kept data rows, as the solve produced them.
@@ -274,14 +254,14 @@ def reconstruct_grid(
     contiguous run and no row was skipped, as for any flatten_grid
     layout, and is written straight into the result when the cell's
     usable rows form one run; otherwise rows are gathered or scattered
-    once.  A cell without a matrix
-    (ill-conditioned or singular) runs the recursion on all its rows in
-    one call, whose ill-conditioned 1D blocks warn and fall back to
-    dense solves.  Rows whose point lies outside the box of the cell
-    they name, or outside the domain, are skipped.  With oracle=True
-    every cell's rows are additionally solved densely and the relative
-    difference is reported per data row.  Frequency vectors and block
-    conditioning come from the cell systems make_shifts built.
+    once.  A cell without a matrix (ill-conditioned or singular) runs
+    the recursion on all its rows in one walk; its ill-conditioned 1D
+    blocks fall back to dense solves, and the call warns once per such
+    block.  Rows whose point lies outside the box of the cell they name,
+    or outside the domain, are skipped.  With oracle=True every cell's
+    rows are additionally solved densely and the relative difference is
+    reported per data row.  Frequency vectors and block conditioning
+    come from the cell systems make_shifts built.
     """
     vol = domain.lattice.volume
     k = domain.k
@@ -305,7 +285,9 @@ def reconstruct_grid(
         ps = shifts.systems[ci]
         F = data.values[rows if all_usable else usable[rows]]
         if ps.solve is None:
-            values[rows] = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, F.T / vol).T
+            walked: list = []
+            values[rows] = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, F.T / vol, walked).T
+            _warn_ill_conditioned(walked)
         else:
             _product(F, ps.solve.T / vol, values, rows)
         if oracle:

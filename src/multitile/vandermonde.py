@@ -10,6 +10,15 @@ which factorizes along coordinates.  The recursion never materializes
 that matrix: each level is handled by square 1D Vandermonde solves on
 the child values of one prefix, plus explicit evaluation of the
 already-solved prefixes' contributions.
+
+Every call walks the recursion once, on a (k, N) array of data columns
+whose rows follow the shift index set.  Each parent's window is one
+contiguous slab of those rows, so its suffix system is solved once per
+window, for all of the window's indices together.  Every 1D block takes
+one SVD, which both picks its solver and is recorded as the block's
+(level, sigma_min, sigma_max); walked on zero columns, the recursion
+only records the blocks.  Callers that solve data warn once per
+recorded block above COND_LIMIT.
 """
 
 from __future__ import annotations
@@ -49,69 +58,145 @@ def _leja_order(x: np.ndarray) -> np.ndarray:
     return order
 
 
-def solve_vandermonde_1d(nodes, rhs) -> np.ndarray:
-    """Solve sum_t nodes[t]^s c[t] = rhs[s] for s = 0..k-1.
+def _solve_1d(x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve sum_t x[t]^s c[t] = b[s] for s = 0..k-1, for every column
+    of a (k, N) b, which may be overwritten; returns the solution and
+    the singular values of the block's Vandermonde matrix, largest
+    first.
 
-    rhs is one vector (k,) or a matrix (k, N) of N right-hand sides
-    sharing the nodes; the result has the same shape.  Uses the
-    Bjorck-Pereyra progressive product-form elimination (O(k^2) per
-    column, no matrix formed for the solve itself) on the nodes in Leja
-    order.  The node checks run once per call: when the system's
-    condition number exceeds 1e8 an IllConditionedWarning is emitted
-    and a dense partial-pivoting solve is used instead.
+    Uses the Bjorck-Pereyra progressive product-form elimination
+    (O(k^2) per column, no matrix formed for the solve itself) on the
+    nodes in Leja order, or a dense partial-pivoting solve when the
+    condition number exceeds COND_LIMIT.  With zero columns it takes
+    the singular values and nothing else: no node check, no solve.
     """
-    return _solve_1d(np.asarray(nodes, dtype=complex), np.array(rhs, dtype=complex))
-
-
-def _solve_1d(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """solve_vandermonde_1d on complex arrays; b may be overwritten."""
-    if x.ndim != 1 or b.ndim not in (1, 2) or b.shape[0] != x.size:
-        raise DimensionMismatch(
-            f"nodes must be a vector and rhs have as many rows, got {x.shape} and {b.shape}"
-        )
+    vander = _vander_matrix(x)
+    sig = np.linalg.svd(vander, compute_uv=False)
+    if b.shape[1] == 0:
+        return b, sig
     k = x.size
     close = np.argwhere(np.triu(np.abs(x[:, None] - x[None, :]) < NODE_TOL, 1))
     if len(close):
         i, j = (int(t) for t in close[0])
         raise DuplicateNodes(f"nodes {i} and {j} coincide: {x[i]}")
     if k == 1:
-        return b
-
-    sig = np.linalg.svd(_vander_matrix(x), compute_uv=False)
+        return b, sig
     if sig[-1] == 0.0 or sig[0] / sig[-1] > COND_LIMIT:
-        kappa = np.inf if sig[-1] == 0.0 else sig[0] / sig[-1]
-        warnings.warn(
-            f"Vandermonde condition number {kappa:.3e} exceeds {COND_LIMIT:.0e}; "
-            "falling back to a dense solve",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
         try:
-            return np.linalg.solve(_vander_matrix(x), b)
+            return np.linalg.solve(vander, b), sig
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(f"dense Vandermonde fallback failed: {exc}") from None
 
     order = _leja_order(x)
     x = x[order]
-    d = b[:, None] if b.ndim == 1 else b
-    # `out` doubles as scratch for the sweeps, so no temporaries are made
-    out = np.empty_like(d)
+    # b is eliminated in place; `out` doubles as scratch for the sweeps,
+    # so no temporaries are made
+    out = np.empty_like(b)
     n = k - 1
     for kk in range(n):
         buf = out[: n - kk]
-        np.multiply(x[kk], d[kk:n], out=buf)
-        d[kk + 1 :] -= buf
+        np.multiply(x[kk], b[kk:n], out=buf)
+        b[kk + 1 :] -= buf
     for kk in range(n - 1, -1, -1):
-        d[kk + 1 :] /= (x[kk + 1 :] - x[: n - kk])[:, None]
+        b[kk + 1 :] /= (x[kk + 1 :] - x[: n - kk])[:, None]
         buf = out[: n - kk]
-        buf[...] = d[kk + 1 :]
-        d[kk:n] -= buf
-    out[order] = d
-    return out.reshape(b.shape)
+        buf[...] = b[kk + 1 :]
+        b[kk:n] -= buf
+    out[order] = b
+    return out, sig
 
 
 def _nodes(values, dl: float) -> np.ndarray:
     return np.exp(-2j * np.pi * dl * np.asarray(values, dtype=float))
+
+
+def _nested(vectors, index, data: np.ndarray, delta, blocks: list) -> np.ndarray:
+    """One walk of the recursion on (k, N) data columns whose rows
+    follow index, the shift index set of vectors (_k_index order); data
+    may be overwritten.  Returns the (k, N) values in vectors order and
+    appends the (level, sigma_min, sigma_max) of every 1D block, in
+    solve order, to blocks.
+
+    Parents are processed in ascending child-count order.  _k_index
+    lays out parent p's window as one run of rows, suffix index major
+    and window index minor, so the suffix system is one slab: after
+    subtracting the explicitly evaluated contributions of the finished
+    parents, it is solved once for all W window indices as W*N columns.
+    The parent's own values then come from one square 1D solve over its
+    accumulated window indices.
+    """
+    level = len(delta)
+    if level == 1:
+        values, sig = _solve_1d(_nodes([v[0] for v in vectors], delta[0]), data)
+        blocks.append((1, sig[-1], sig[0]))
+        return values
+
+    parents, children, counts, windows = _group(vectors)
+    dl = delta[-1]
+    cols = data.shape[1]
+    position = {v: i for i, v in enumerate(vectors)}
+    values = np.empty((len(vectors), cols), dtype=complex)
+    # per parent: its suffix values by last-level index
+    gather = [np.empty((c, cols), dtype=complex) for c in counts]
+    solved = []  # per finished parent: its values, children order
+    start = 0
+    for p, (lo, hi) in enumerate(windows):
+        width = hi - lo
+        if width:
+            m = len(parents) - p
+            stop = start + m * width
+            suffix_index = [j[:-1] for j in index[start:stop:width]]
+            slab = data[start:stop].reshape(m, width, cols)
+            start = stop
+            if p:
+                # the finished parents' last-level sums at every window
+                # index, times their phases at every suffix index; every
+                # entry is rounded as it would be for one index alone
+                jj = np.array(suffix_index)
+                arg = 0
+                for t in range(level - 1):
+                    arg = arg + delta[t] * jj[:, t, None] * np.array([q[t] for q in parents[:p]])
+                phase = np.exp(-2j * np.pi * arg)
+                j_last = np.arange(lo, hi)[:, None]
+                for qq in range(p):
+                    e = np.exp(-2j * np.pi * dl * j_last * np.array(children[qq]))
+                    evaluated = sum(e[:, t, None] * solved[qq][t] for t in range(len(children[qq])))
+                    slab = slab - phase[:, qq, None, None] * evaluated
+            sub = _nested(parents[p:], suffix_index, slab.reshape(m, width * cols), delta[:-1], blocks)
+            sub = sub.reshape(m, width, cols)
+            for qq in range(p, len(parents)):
+                gather[qq][lo:hi] = sub[qq - p]
+        own, sig = _solve_1d(_nodes(children[p], dl), gather[p])
+        blocks.append((level, sig[-1], sig[0]))
+        solved.append(own)
+        for z, row in zip(children[p], own):
+            values[position[parents[p] + (z,)]] = row
+    return values
+
+
+def _solve_columns(vectors, order, delta, rhs, blocks: list) -> np.ndarray:
+    """Nested solve of V y = rhs for a (k, N) matrix of data columns
+    whose rows follow order, any ordering of the shift index set of
+    vectors; returns (k, N) values in frequency-vector order and appends
+    the walk's blocks to blocks.  On the k unit vectors this is the
+    cell's whole solve matrix."""
+    index = _k_index(vectors)
+    row = {j: i for i, j in enumerate(order)}
+    return _nested(vectors, index, rhs[[row[j] for j in index]], tuple(np.asarray(delta, dtype=float)), blocks)
+
+
+def _warn_ill_conditioned(blocks) -> None:
+    """One IllConditionedWarning per walked block whose condition number
+    exceeds COND_LIMIT, that is per block solved densely."""
+    for _, lo, hi in blocks:
+        kappa = hi / lo if lo else np.inf
+        if kappa > COND_LIMIT:
+            warnings.warn(
+                f"Vandermonde condition number {kappa:.3e} exceeds {COND_LIMIT:.0e}; "
+                "falling back to a dense solve",
+                IllConditionedWarning,
+                stacklevel=3,
+            )
 
 
 def nested_solve(vectors, data, delta) -> dict:
@@ -126,111 +211,23 @@ def nested_solve(vectors, data, delta) -> dict:
     delta:   per-coordinate spacing
 
     Returns a mapping from frequency vector to its solved value, a
-    scalar or an (N,) vector like the data.  Rows are batched: the
-    recursion, its index windows, the cross-term phases and every 1D
-    block's node checks run once per call, whatever N is.
-
-    The recursion follows the window structure: parents are processed
-    in ascending child-count order; for each parent the recursion
-    solves the suffix system for every index in the parent's window,
-    after subtracting the explicitly evaluated contribution of the
-    already finished parents; the parent's own values then come from
-    one square 1D Vandermonde solve over its accumulated window indices.
+    scalar or an (N,) vector like the data.  The data become one (k, N)
+    array of columns here, and one walk of the recursion solves them
+    all; an IllConditionedWarning is emitted for every block of the
+    walk that fell back to a dense solve.
     """
     delta = tuple(delta)
-    level = len(delta)
-    if len(vectors[0]) != level:
+    if len(vectors[0]) != len(delta):
         raise DimensionMismatch(
-            f"vectors have {len(vectors[0])} coordinates, delta has {level}"
+            f"vectors have {len(vectors[0])} coordinates, delta has {len(delta)}"
         )
-    if level == 1:
-        nodes = _nodes([v[0] for v in vectors], delta[0])
-        rhs = np.array([data[(j,)] for j in range(len(vectors))], dtype=complex)
-        coeff = _solve_1d(nodes, rhs)
-        return {v: coeff[t] for t, v in enumerate(vectors)}
-
-    parents, children, counts, windows = _group(vectors)
-    dl = delta[-1]
-    solved: dict = {}
-    # per parent position: accumulated suffix values by last-level index
-    gather: list[dict] = [dict() for _ in parents]
-    for p, parent in enumerate(parents):
-        lo, hi = windows[p]
-        if lo < hi:
-            suffix = parents[p:]
-            sub_keys = _k_index(suffix)
-            for j_last in range(lo, hi):
-                # the finished parents' last-level sums at this index
-                evaluated = [
-                    sum(
-                        np.exp(-2j * np.pi * dl * j_last * z) * solved[parents[qq] + (z,)]
-                        for z in children[qq]
-                    )
-                    for qq in range(p)
-                ]
-                sub_data = {}
-                for jj in sub_keys:
-                    val = data[jj + (j_last,)]
-                    for qq in range(p):
-                        phase = np.exp(
-                            -2j
-                            * np.pi
-                            * sum(dt * jt * mt for dt, jt, mt in zip(delta, jj, parents[qq]))
-                        )
-                        # not -=: val may be the caller's data array
-                        val = val - phase * evaluated[qq]
-                    sub_data[jj] = val
-                sub_solution = nested_solve(suffix, sub_data, delta[:-1])
-                for qq in range(p, len(parents)):
-                    gather[qq][j_last] = sub_solution[parents[qq]]
-        # the parent's window union so far is exactly 0..counts[p]-1
-        nodes = _nodes(children[p], dl)
-        rhs = np.array([gather[p][j] for j in range(counts[p])], dtype=complex)
-        coeff = _solve_1d(nodes, rhs)
-        for z, c in zip(children[p], coeff):
-            solved[parent + (z,)] = c
-    return solved
-
-
-def _solve_columns(vectors, order, delta, rhs) -> np.ndarray:
-    """Nested solve of V y = rhs for a (k, N) matrix of data columns in
-    shift index order; returns (k, N) values in frequency-vector order.
-    On the k unit vectors this is the cell's whole solve matrix."""
-    data = {j: rhs[i] for i, j in enumerate(order)}
-    solved = nested_solve(vectors, data, tuple(np.asarray(delta, dtype=float)))
-    return np.array([solved[v] for v in vectors])
-
-
-def nested_blocks(vectors, delta) -> list[tuple[int, np.ndarray]]:
-    """Enumerate every square 1D block the nested recursion solves.
-
-    Returns (level, nodes) pairs, where level is the coordinate the
-    block acts on (1-based) and nodes are its Vandermonde nodes.  The
-    enumeration mirrors nested_solve exactly, including the blocks of
-    re-grouped suffix systems, but is purely structural (no data).
-    """
-    delta = tuple(delta)
-    level = len(delta)
-    if level == 1:
-        return [(1, _nodes([v[0] for v in vectors], delta[0]))]
-    parents, children, _, windows = _group(vectors)
-    out: list[tuple[int, np.ndarray]] = []
-    for p in range(len(parents)):
-        lo, hi = windows[p]
-        if lo < hi:
-            out.extend(nested_blocks(parents[p:], delta[:-1]))
-        out.append((level, _nodes(children[p], delta[-1])))
-    return out
-
-
-def _block_sigmas(vectors, delta) -> list[tuple[int, np.float64, np.float64]]:
-    """(level, sigma_min, sigma_max) of every block the recursion solves;
-    block_conditions and block_norms are reductions of this one walk."""
-    out = []
-    for lv, nodes in nested_blocks(vectors, delta):
-        sig = np.linalg.svd(_vander_matrix(nodes), compute_uv=False)
-        out.append((lv, sig[-1], sig[0]))
-    return out
+    index = _k_index(vectors)
+    columns = np.array([data[j] for j in index], dtype=complex)
+    scalar = columns.ndim == 1
+    blocks: list = []
+    values = _nested(vectors, index, columns[:, None] if scalar else columns, delta, blocks)
+    _warn_ill_conditioned(blocks)
+    return {v: row[0] if scalar else row for v, row in zip(vectors, values)}
 
 
 def _conditions(blocks) -> list[tuple[int, float]]:
@@ -248,11 +245,8 @@ def _level_norms(blocks, level: int) -> list[tuple[float, float]]:
 
 
 def block_conditions(vectors, delta) -> list[tuple[int, float]]:
-    """(level, condition number) for every block the recursion solves."""
-    return _conditions(_block_sigmas(vectors, delta))
-
-
-def block_norms(vectors, delta) -> list[tuple[float, float]]:
-    """Per level: (smallest sigma_min, largest sigma_max) over all of
-    the recursion's blocks acting on that coordinate."""
-    return _level_norms(_block_sigmas(vectors, delta), len(tuple(delta)))
+    """(level, condition number) for every block the recursion solves,
+    from one walk on zero data columns."""
+    blocks: list = []
+    _nested(vectors, _k_index(vectors), np.empty((len(vectors), 0), dtype=complex), tuple(delta), blocks)
+    return _conditions(blocks)

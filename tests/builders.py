@@ -9,7 +9,7 @@ strategy tilings draws random valid domains for property tests.
 import numpy as np
 from hypothesis import strategies as st
 
-from multitile import make_cell, make_domain, make_lattice
+from multitile import make_cell, make_domain, make_lattice, nested_solve
 
 
 def domain_of(basis, cells):
@@ -96,6 +96,14 @@ ALL = {
 
 PERFECT = ("interval_2tile", "box_pair_2d", "strip_3tile_2d",
            "plane_4tile_2d", "shear_2tile")
+
+
+def nested_values(vectors, order, delta, F):
+    """nested_solve of data F whose rows (scalars or (N,) vectors)
+    follow the shift index order `order`, as an array in vectors
+    order."""
+    solved = nested_solve(vectors, {j: F[i] for i, j in enumerate(order)}, delta)
+    return np.array([solved[v] for v in vectors])
 
 
 def random_offsets(rng, d, k, span=5):

@@ -6,6 +6,9 @@ are cross-checked rather than self-checked.  The exceptions are
 cell_system_reference, the package's former per-call construction of a
 cell system and its former per-row nested solve, kept as the reference
 for the systems make_shifts stores;
+nested_blocks_reference, the package's former structural enumeration
+of the nested recursion's blocks, kept as the reference for the blocks
+that one walk of the recursion records;
 check_reference and find_pair_reference, the package's former
 admissibility test and search (with the weak class, the perfect-first
 attempt and one tree build per pass), kept as the reference for the
@@ -188,6 +191,46 @@ def cell_system_reference(domain, shifts, cell: int):
             except (IllConditionedWarning, DuplicateNodes):
                 solve = None
     return V, sigma, np.linalg.inv(V), solve
+
+
+def nested_blocks_reference(vectors, delta) -> list[tuple[int, np.ndarray]]:
+    """(level, nodes) of every square 1D block the nested recursion
+    solves, in solve order: level is the coordinate the block acts on
+    (1-based) and nodes are its Vandermonde nodes.
+
+    Parents (the distinct length-(l-1) prefixes) are ordered by
+    ascending child count, ties lexicographic; parent p's window is
+    [count_{p-1}, count_p).  A parent with a nonempty window first
+    solves the suffix system of parents p.. (its blocks, recursively),
+    then its own block on its children at the last level."""
+    delta = tuple(delta)
+    level = len(delta)
+    if level == 1:
+        return [(1, np.exp(-2j * np.pi * delta[0] * np.array([v[0] for v in vectors], dtype=float)))]
+    buckets: dict = {}
+    for v in vectors:
+        buckets.setdefault(tuple(v[:-1]), []).append(v[-1])
+    items = sorted(((p, sorted(ch)) for p, ch in buckets.items()), key=lambda it: (len(it[1]), it[0]))
+    parents = [p for p, _ in items]
+    out = []
+    prev = 0
+    for p, (_, children) in enumerate(items):
+        if len(children) > prev:
+            out.extend(nested_blocks_reference(parents[p:], delta[:-1]))
+        prev = len(children)
+        out.append((level, np.exp(-2j * np.pi * delta[-1] * np.array(children, dtype=float))))
+    return out
+
+
+def block_sigmas_reference(vectors, delta) -> list[tuple[int, np.float64, np.float64]]:
+    """(level, sigma_min, sigma_max) of every block of
+    nested_blocks_reference, from the SVD of its Vandermonde matrix
+    (rows are powers 0..n-1, columns nodes)."""
+    out = []
+    for level, nodes in nested_blocks_reference(vectors, delta):
+        sig = np.linalg.svd(np.vander(nodes, increasing=True).T, compute_uv=False)
+        out.append((level, sig[-1], sig[0]))
+    return out
 
 
 _RESIDUE_TOL = 1e-9

@@ -32,14 +32,13 @@ from multitile import (
     perfect_shift_1d,
     reconstruct_direct,
     reconstruct_grid,
-    reconstruct_point,
     riesz_bounds,
     sample_grid,
     shift_index_set,
     verify_biorthogonality,
 )
 
-from builders import ALL, PERFECT, domain_of, random_offsets
+from builders import ALL, PERFECT, domain_of, nested_values, random_offsets
 from oracles import shift_indices_reference
 from test_freqtree import M4
 
@@ -136,7 +135,7 @@ def test_03_nested_solver_matches_dense():
         ps = cell_system(dom, sh, 0)
         tree = build_tree(make_frequency_set(dom.cells[0].offsets))
         F = rng.normal(size=k) + 1j * rng.normal(size=k)
-        nested = reconstruct_point(tree, sh.delta, F)
+        nested = nested_values(tree.frequencies.vectors, shift_index_set(tree).indices, sh.delta, F)
         dense = reconstruct_direct(ps.V, F)
         worst_solve = max(
             worst_solve,

@@ -17,9 +17,8 @@ from multitile import (
     omega,
     omega_inverse,
     sample_grid,
-    validate,
 )
-from multitile.domain import _region_points
+from multitile.domain import _region_points, validate_cells
 
 from builders import ALL, domain_of, random_offsets, tilings
 from oracles import tiling_count
@@ -78,7 +77,7 @@ def test_fixtures_cover_k_times(name):
         u = rng.uniform(0.02, 0.98, size=dom.dimension)
         x = M @ u
         assert tiling_count(M, cells, x) == dom.k
-    validate(dom)
+    assert validate_cells(dom.cells) == dom.k
 
 
 @given(tilings(), st.data())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multitile import (
+    DimensionMismatch,
     MultiTileDomain,
     NonUniformShifts,
     OutOfDomain,
@@ -12,7 +13,6 @@ from multitile import (
     SingularCell,
     SpecFormatError,
     block_conditions,
-    block_norms,
     cell_index_at,
     cell_system,
     check,
@@ -35,10 +35,10 @@ from multitile import (
 )
 from multitile import expsystem
 from multitile.expsystem import _piece_table
-from multitile.vandermonde import COND_LIMIT, _solve_columns
+from multitile.vandermonde import COND_LIMIT
 
-from builders import ALL, PERFECT, domain_of, mixed_2tile_2d, tilings
-from oracles import cell_system_reference, gram_quadrature, piece_sum_reference
+from builders import ALL, PERFECT, domain_of, mixed_2tile_2d, nested_values, tilings
+from oracles import block_sigmas_reference, cell_system_reference, gram_quadrature, piece_sum_reference
 
 SQ2 = np.sqrt(2.0)
 
@@ -173,7 +173,7 @@ def test_dual_worked_value():
     # quarter shift on the doubled interval, label (0, s=2) at y=1.25:
     # hand inverse of [[1,1],[1,-i]] gives the factor (1+i)
     dom, sh = _shifts("interval_2tile", [1], [4])
-    got = dual_eval(dom, sh, np.array([0]), 2, np.array(1.25))
+    (got,) = dual_eval(dom, sh, np.array([0]), 2, np.array([[1.25]]))
     want = np.exp(2j * np.pi * 0.3125) * (1 + 1j)
     assert abs(got - want) <= 1e-12
 
@@ -183,26 +183,34 @@ def test_dual_is_exponential_when_orthogonal():
     dom, sh = _shifts("interval_2tile", [1], [2])
     l = frequency_vector(dom, sh, np.array([2]), 1)
     ys = rng.uniform(0, 2, size=50)
-    got = dual_eval(dom, sh, np.array([2]), 1, ys)
+    got = dual_eval(dom, sh, np.array([2]), 1, ys[:, None])
     assert np.max(np.abs(got - np.exp(2j * np.pi * l * ys))) <= 1e-10
 
 
 def test_dual_eval_point_shapes():
-    dom, sh = _shifts("interval_2tile", [1], [4])
-    single = dual_eval(dom, sh, np.array([0]), 2, np.array(0.25))
-    batch = dual_eval(dom, sh, np.array([0]), 2, np.array([0.25, 1.25]))
-    assert batch.shape == (2,)
-    assert batch[0] == pytest.approx(single)
+    """Points are an (N, d) array in every dimension; a scalar, a flat
+    vector or a row of the wrong width is refused, so no shape means a
+    batch in one dimension and a single point in another."""
+    for name, v, q in (("interval_2tile", [1], [4]), ("strip_3tile_2d", [1, 1], [3, 2])):
+        dom, sh = _shifts(name, v, q)
+        d = dom.dimension
+        points = np.array([[0.25] * d, [0.75] * d])
+        batch = dual_eval(dom, sh, np.zeros(d, dtype=int), 2, points)
+        assert batch.shape == (2,)
+        assert dual_eval(dom, sh, np.zeros(d, dtype=int), 2, points[1:]) == batch[1:]
+        for bad in (np.array(0.25), np.full(d, 0.25), np.zeros((1, d + 1)), np.zeros((1, 1, d))):
+            with pytest.raises(DimensionMismatch, match=r"expected \(N, "):
+                dual_eval(dom, sh, np.zeros(d, dtype=int), 2, bad)
     with pytest.raises(OutOfDomain):
-        dual_eval(dom, sh, np.array([0]), 2, np.array(2.5))
+        dual_eval(dom, sh, np.zeros(2, dtype=int), 2, np.array([[9.5, 9.5]]))
 
 
 def test_k1_dual_is_exponential():
     dom = domain_of([[1.0]], [([[0, 1]], [[0]])])
     sh = make_shifts(dom, find_pair(dom))
-    y = np.array(0.37)
+    y = np.array([[0.37]])
     l = frequency_vector(dom, sh, np.array([1]), 1)
-    assert dual_eval(dom, sh, np.array([1]), 1, y) == pytest.approx(
+    assert dual_eval(dom, sh, np.array([1]), 1, y)[0] == pytest.approx(
         np.exp(2j * np.pi * l[0] * 0.37)
     )
 
@@ -355,13 +363,7 @@ def test_cached_systems_match_reference(data):
         ps = sh.systems[ci]
         fs = make_frequency_set(c.offsets)
         assert ps.cell == ci and ps.vectors == fs.vectors
-        assert [(lv, float(hi / lo)) for lv, lo, hi in ps.blocks] == block_conditions(
-            fs.vectors, delta
-        )
-        for lv, (lo, hi) in enumerate(block_norms(fs.vectors, delta), start=1):
-            level = [b for b in ps.blocks if b[0] == lv]
-            assert lo == min((float(b[1]) for b in level), default=np.inf)
-            assert hi == max((float(b[2]) for b in level), default=0.0)
+        assert list(ps.blocks) == block_sigmas_reference(fs.vectors, delta)
         try:
             V, sigma, V_inv, solve = cell_system_reference(dom, sh, ci)
         except SingularCell as exc:
@@ -381,6 +383,32 @@ def test_cached_systems_match_reference(data):
             if arr is not None:
                 with pytest.raises(ValueError):
                     arr[0, 0] = 0.0
+
+
+@given(st.data())
+def test_walked_blocks_match_reference(data):
+    """The blocks make_shifts records from its one walk per cell, and
+    those block_conditions walks, are bit for bit the SVDs of the
+    blocks the reference enumeration lists: at certified, arbitrary and
+    near-coincident spacings, singular cells included."""
+    dom = data.draw(tilings())
+    spacing = st.one_of(
+        st.floats(0.05, 0.95),
+        st.floats(-9.0, -2.0).map(lambda e: 10.0**e),
+        st.sampled_from([0.25, 1 / 3, 0.5, 1.0]),
+    )
+    delta = (
+        find_pair(dom).delta
+        if data.draw(st.booleans())
+        else np.array(data.draw(st.tuples(*[spacing] * dom.dimension)))
+    )
+    sh = make_shifts(dom, delta)
+    for ps in sh.systems:
+        want = block_sigmas_reference(ps.vectors, tuple(sh.delta))
+        assert list(ps.blocks) == want
+        with np.errstate(divide="ignore"):
+            kappas = [(lv, float(hi / lo)) for lv, lo, hi in want]
+        assert block_conditions(ps.vectors, sh.delta) == kappas
 
 
 @given(st.data())
@@ -411,7 +439,7 @@ def test_solve_matrix_on_random_tilings(data):
         assert (ps.solve is not None) == routed
         if not routed:
             continue
-        assert np.array_equal(ps.solve, _solve_columns(ps.vectors, sh.index_sets[ci], sh.delta, eye))
+        assert np.array_equal(ps.solve, nested_values(ps.vectors, sh.index_sets[ci], sh.delta, eye))
         tol = 1e-12 if certified else 1e-13 * max(10.0, ps.kappa)
         assert np.abs(ps.solve @ ps.V - eye).max() <= tol
         with pytest.raises(ValueError):
@@ -460,9 +488,9 @@ def _gap_domain():
 def test_dual_eval_batch_raises_first_failure(bad):
     """A batch fails exactly as omega_inverse fails on its first bad point."""
     dom, sh = _gap_domain()
-    points = np.array([0.25, 1.25] + bad)
+    points = np.array([0.25, 1.25] + bad)[:, None]
     with pytest.raises((OutOfDomain, PointOnGap)) as first:
-        omega_inverse(dom, points[2:3])
+        omega_inverse(dom, points[2])
     with pytest.raises((OutOfDomain, PointOnGap)) as batch:
         dual_eval(dom, sh, np.array([0]), 1, points)
     assert type(batch.value) is type(first.value)

@@ -406,6 +406,19 @@ READ_CASES = {
 
 @pytest.mark.parametrize("case", sorted(READ_CASES))
 def test_read_samples_matches_reference(tmp_path, case):
+    _check_read_case(tmp_path, case)
+
+
+@pytest.mark.parametrize("case", sorted(READ_CASES))
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_read_samples_in_chunks_matches_reference(tmp_path, monkeypatch, chunk, case):
+    """Parsed a few body rows at a time (9 rows in chunks of 1 or 7), the
+    reader gives the same data and the same first error."""
+    monkeypatch.setattr(formats, "CHUNK_LINES", chunk)
+    _check_read_case(tmp_path, case)
+
+
+def _check_read_case(tmp_path, case):
     dom, sh, data = _sample_set("strip_3tile_2d", [1, 1], [3, 2], n=3)
     path = tmp_path / "samples.csv"
     write_samples(str(path), dom, sh, data)

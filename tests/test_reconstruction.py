@@ -25,18 +25,18 @@ from multitile import (
     make_frequency_set,
     make_lattice,
     make_shifts,
+    nested_solve,
     omega,
     reconstruct_direct,
     reconstruct_grid,
-    reconstruct_point,
     sample_grid,
     shift_index_set,
     verify_biorthogonality,
 )
 from multitile.domain import _region_points
-from multitile.vandermonde import COND_LIMIT, _solve_columns
+from multitile.vandermonde import COND_LIMIT
 
-from builders import ALL, domain_of, tilings
+from builders import ALL, domain_of, nested_values, tilings
 from test_freqtree import M4
 
 
@@ -92,26 +92,32 @@ def test_linearity():
     dom = ALL["plane_4tile_2d"]()
     sh = make_shifts(dom, find_pair(dom))
     fs = make_frequency_set(dom.cells[0].offsets)
-    tree = build_tree(fs)
+    order = shift_index_set(build_tree(fs)).indices
     mu = 0.7 - 1.3j
     F1 = rng.normal(size=dom.k) + 1j * rng.normal(size=dom.k)
     F2 = rng.normal(size=dom.k) + 1j * rng.normal(size=dom.k)
-    a = reconstruct_point(tree, sh.delta, F1 + mu * F2)
-    b = reconstruct_point(tree, sh.delta, F1) + mu * reconstruct_point(tree, sh.delta, F2)
+    a = nested_values(fs.vectors, order, sh.delta, F1 + mu * F2)
+    b = nested_values(fs.vectors, order, sh.delta, F1) + mu * nested_values(fs.vectors, order, sh.delta, F2)
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
-def test_reconstruct_point_mapping_and_order():
-    dom, sh, ids, pts = _setup("box_pair_2d")
+def test_nested_solve_mapping_and_order():
+    """nested_solve reads its mapping by key, whatever the insertion
+    order, and returns values keyed by frequency vector; a delta whose
+    length is not the vectors' dimension is refused."""
+    dom = _mixed_two_cell()
+    sh = make_shifts(dom, find_pair(dom))
     fs = make_frequency_set(dom.cells[0].offsets)
-    tree = build_tree(fs)
-    order = shift_index_set(tree).indices
-    F = np.array([1.0 + 0j, 2.0 - 1j])
-    a = reconstruct_point(tree, sh.delta, F)
-    b = reconstruct_point(tree, sh.delta, {j: F[i] for i, j in enumerate(order)})
-    assert np.allclose(a, b)
+    order = shift_index_set(build_tree(fs)).indices
+    F = np.random.default_rng(3).normal(size=dom.k) + 1j
+    forward = nested_solve(fs.vectors, {j: F[i] for i, j in enumerate(order)}, sh.delta)
+    backward = nested_solve(fs.vectors, {j: F[i] for i, j in reversed(list(enumerate(order)))}, sh.delta)
+    assert list(forward) == list(backward) == list(fs.vectors)
+    assert all(forward[v] == backward[v] for v in fs.vectors)
+    y = np.array([forward[v] for v in fs.vectors])
+    assert np.allclose(cell_system(dom, sh, 0).V @ y, F, rtol=0, atol=1e-12)
     with pytest.raises(DimensionMismatch):
-        reconstruct_point(tree, sh.delta, np.array([1.0 + 0j]))
+        nested_solve(fs.vectors, {j: F[i] for i, j in enumerate(order)}, sh.delta[:1])
 
 
 def test_worked_ten_vector_recovery():
@@ -124,8 +130,7 @@ def test_worked_ten_vector_recovery():
     ps = cell_system(dom, sh, 0)
     c = rng.normal(size=10) + 1j * rng.normal(size=10)
     F = ps.V @ c
-    tree = build_tree(make_frequency_set(dom.cells[0].offsets))
-    got = reconstruct_point(tree, sh.delta, {j: F[i] for i, j in enumerate(sh.index_sets[0])})
+    got = nested_values(ps.vectors, sh.index_sets[0], sh.delta, F)
     assert np.linalg.norm(got - c) <= 1e-9 * np.linalg.norm(c)
     dense = reconstruct_direct(ps.V, F)
     assert np.linalg.norm(got - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
@@ -259,9 +264,15 @@ def test_grid_matches_per_row_points():
         kept = [row for row in range(len(ids)) if row not in res.skipped]
         trees = [build_tree(make_frequency_set(c.offsets)) for c in dom.cells]
         vol = dom.lattice.volume
-        want = np.concatenate(
-            [reconstruct_point(trees[ids[row]], sh.delta, dat.values[row] / vol) for row in kept]
-        )
+        want = np.concatenate([
+            nested_values(
+                trees[ids[row]].frequencies.vectors,
+                shift_index_set(trees[ids[row]]).indices,
+                sh.delta,
+                dat.values[row] / vol,
+            )
+            for row in kept
+        ])
         assert np.allclose(res.values, want, rtol=0, atol=1e-14)
         assert np.allclose(res.values, y[kept].ravel(), rtol=0, atol=1e-12)
         want_pts = [
@@ -290,6 +301,32 @@ def test_ill_conditioned_block_warns_once_per_call():
     assert np.all(np.isfinite(res.values))
 
 
+def test_ill_conditioned_suffix_block_warns_once_per_block():
+    """A 2D cell whose first parent's window has width 2 and whose
+    suffix block (the first coordinate's nodes, 2 pi 1e-9 apart) is
+    ill-conditioned: each reconstruct_grid call solves that block once
+    for both window indices and warns once for it."""
+    dom = domain_of([[1.0, 0.0], [0.0, 1.0]], [([[0, 1], [0, 1]], [[0, 0], [0, 1], [1, 0], [1, 1]])])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sh = make_shifts(dom, np.array([1e-9, 0.5]))
+    ps = sh.systems[0]
+    assert caught == [] and ps.solve is None
+    ill = [lv for lv, lo, hi in ps.blocks if hi / lo > COND_LIMIT]
+    assert [lv for lv, _, _ in ps.blocks] == [1, 2, 2] and ill == [1]
+    ids, pts = flatten_grid(sample_grid(dom, 4))
+    rng = np.random.default_rng(8)
+    y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
+    dat = forward_data(dom, sh, ids, pts, y)
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = reconstruct_grid(dom, sh, dat, oracle=True)
+        assert [w.category for w in caught] == [IllConditionedWarning]
+        assert "falling back to a dense solve" in str(caught[0].message)
+        assert np.all(np.isfinite(res.values))
+
+
 def test_solve_matrix_error_within_10x_nested_up_to_cond_limit():
     """On 1D cells with kappa from 1e5 to COND_LIMIT, applying the
     compiled solve matrix loses at most 10x the accuracy of running the
@@ -306,7 +343,7 @@ def test_solve_matrix_error_within_10x_nested_up_to_cond_limit():
                     continue
                 y = rng.normal(size=(k, 200)) + 1j * rng.normal(size=(k, 200))
                 F = ps.V @ y
-                nested = _solve_columns(ps.vectors, sh.index_sets[0], sh.delta, F)
+                nested = nested_values(ps.vectors, sh.index_sets[0], sh.delta, F)
                 err_nested = np.linalg.norm(nested - y) / np.linalg.norm(y)
                 err_product = np.linalg.norm(ps.solve @ F - y) / np.linalg.norm(y)
                 assert err_product <= 10 * err_nested, (k, delta, ps.kappa)

@@ -6,36 +6,54 @@ from multitile import (
     DuplicateNodes,
     IllConditionedWarning,
     block_conditions,
-    block_norms,
+    build_tree,
     make_frequency_set,
+    make_shifts,
     nested_solve,
-    solve_vandermonde_1d,
+    riesz_bounds,
+    shift_index_set,
 )
+from multitile import vandermonde
+from multitile.vandermonde import _level_norms
 
-from builders import random_offsets
+from builders import domain_of, random_offsets
+from oracles import nested_blocks_reference
+from test_freqtree import M4
 
 
 def _vander(nodes):
     return np.vander(np.asarray(nodes, dtype=complex), increasing=True).T
 
 
+def _solve(z, dl, rhs):
+    """nested_solve in 1D: the Vandermonde system sum_t node_t^s c_t =
+    rhs[s] on the nodes exp(-2 pi i dl z_t)."""
+    vectors = tuple((float(t),) for t in z)
+    solved = nested_solve(vectors, {(s,): r for s, r in enumerate(rhs)}, (dl,))
+    return np.array([solved[v] for v in vectors])
+
+
+def _nodes(z, dl):
+    return np.exp(-2j * np.pi * dl * np.asarray(z, dtype=float))
+
+
 def test_two_by_two():
-    c = solve_vandermonde_1d(np.array([1.0, -1.0]), np.array([0.0, 2.0]))
+    c = _solve([0.0, 0.5], 1.0, np.array([0.0, 2.0]))  # nodes 1 and -1
     assert np.allclose(c, [1.0, -1.0])
 
 
 def test_single_node():
-    c = solve_vandermonde_1d(np.array([1.0 + 0j]), np.array([5.0]))
+    c = _solve([0.0], 1.0, np.array([5.0]))
     assert np.allclose(c, [5.0])
 
 
 def test_roots_of_unity_recovery():
     rng = np.random.default_rng(2)
     for k in range(2, 11):
-        nodes = np.exp(-2j * np.pi * np.arange(k) / k)
+        nodes = _nodes(np.arange(k), 1 / k)
         c = rng.normal(size=k) + 1j * rng.normal(size=k)
         rhs = _vander(nodes) @ c
-        got = solve_vandermonde_1d(nodes, rhs)
+        got = _solve(np.arange(k), 1 / k, rhs)
         assert np.linalg.norm(got - c) <= 1e-12 * max(1.0, np.linalg.norm(c))
 
 
@@ -43,23 +61,22 @@ def test_roots_of_unity_match_dense_large_k():
     # natural node order loses all accuracy by k=64; Leja order must not
     rng = np.random.default_rng(3)
     for k in (16, 32, 48, 64):
-        nodes = np.exp(-2j * np.pi * np.arange(k) / k)
         rhs = rng.normal(size=k) + 1j * rng.normal(size=k)
-        got = solve_vandermonde_1d(nodes, rhs)
-        want = np.linalg.solve(_vander(nodes), rhs)
+        got = _solve(np.arange(k), 1 / k, rhs)
+        want = np.linalg.solve(_vander(_nodes(np.arange(k), 1 / k)), rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), k
 
 
 def test_matrix_rhs_solves_each_column():
     rng = np.random.default_rng(5)
-    nodes = np.exp(2j * np.pi * np.array([0.0, 0.3, 0.45, 0.8]))
+    z = -np.array([0.0, 0.3, 0.45, 0.8])
     rhs = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-    got = solve_vandermonde_1d(nodes, rhs)
+    got = _solve(z, 1.0, rhs)
     assert got.shape == (4, 6)
     for col in range(6):
-        assert np.allclose(got[:, col], solve_vandermonde_1d(nodes, rhs[:, col]), rtol=0, atol=1e-14)
+        assert np.allclose(got[:, col], _solve(z, 1.0, rhs[:, col]), rtol=0, atol=1e-14)
     with pytest.raises(DimensionMismatch):
-        solve_vandermonde_1d(nodes, rhs[:3])
+        nested_solve(((0.0,), (1.0,)), {(0,): 1.0, (1,): 2.0}, (0.5, 0.5))
 
 
 def test_random_unimodular_nodes_match_dense():
@@ -69,23 +86,21 @@ def test_random_unimodular_nodes_match_dense():
         phases = np.sort(rng.uniform(0, 1, size=k))
         if np.min(np.diff(np.concatenate([phases, [phases[0] + 1]]))) < 0.02:
             continue  # keep nodes well separated
-        nodes = np.exp(2j * np.pi * phases)
         rhs = rng.normal(size=k) + 1j * rng.normal(size=k)
-        got = solve_vandermonde_1d(nodes, rhs)
-        want = np.linalg.solve(_vander(nodes), rhs)
+        got = _solve(-phases, 1.0, rhs)
+        want = np.linalg.solve(_vander(_nodes(-phases, 1.0)), rhs)
         assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
 
 
 def test_duplicate_nodes_rejected():
+    # nodes 2 pi 1e-13 apart, closer than NODE_TOL
     with pytest.raises(DuplicateNodes):
-        solve_vandermonde_1d(np.array([1.0, 1.0 + 5e-13]), np.array([1.0, 2.0]))
+        _solve([0.0, 1e-13], 1.0, np.array([1.0, 2.0]))
 
 
 def test_ill_conditioned_warns_but_solves():
-    nodes = np.exp(2j * np.pi * np.array([0.0, 1e-10, 0.5]))
-    rhs = np.array([1.0, 2.0, 3.0], dtype=complex)
     with pytest.warns(IllConditionedWarning):
-        got = solve_vandermonde_1d(nodes, rhs)
+        got = _solve([0.0, -1e-10, -0.5], 1.0, np.array([1.0, 2.0, 3.0]))
     assert np.all(np.isfinite(got))
 
 
@@ -101,7 +116,7 @@ def test_nested_matches_dense_random():
             tries += 1
             q = rng.integers(2 * k, 6 * k + 1)
             cand = tuple(float(rng.integers(1, q)) / q for _ in range(d))
-            if all(_separated(nodes) for _, nodes in _blocks_of(vecs, cand)):
+            if all(_separated(nodes) for _, nodes in nested_blocks_reference(tuple(vecs), cand)):
                 delta = cand
         if delta is None:
             continue
@@ -126,12 +141,6 @@ def _separated(nodes, gap=1e-3):
     return diff[~np.eye(len(nodes), dtype=bool)].min() > gap
 
 
-def _blocks_of(vecs, delta):
-    from multitile.vandermonde import nested_blocks
-
-    return nested_blocks(tuple(vecs), delta)
-
-
 def _k_order(vecs):
     from multitile import build_tree, shift_index_set
 
@@ -146,12 +155,18 @@ def _assemble(vecs, delta):
     )
 
 
+def _system(vecs, delta):
+    """make_shifts on the one-cell unit-box domain with offsets vecs."""
+    d = len(delta)
+    dom = domain_of(np.eye(d).tolist(), [([[0, 1]] * d, [list(map(int, v)) for v in vecs])])
+    return dom, make_shifts(dom, np.array(delta))
+
+
 def _products(vecs, delta):
-    lo = hi = 1.0
-    for lo_l, hi_l in block_norms(vecs, delta):
-        lo *= lo_l ** 2
-        hi *= hi_l ** 2
-    return lo, hi
+    """riesz_bounds' factored lower and upper products of one cell."""
+    dom, sh = _system(vecs, delta)
+    bounds = riesz_bounds(dom, sh).cells[0]
+    return bounds.factored_lower, bounds.factored_upper
 
 
 def test_block_upper_bound_random_sets():
@@ -200,8 +215,9 @@ def test_block_conditions_bound_kappa_uniform():
     vecs = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
     delta = (1.0 / 3.0, 1.0 / 5.0)
     kappa = np.linalg.cond(_assemble(vecs, delta))
+    _, sh = _system(vecs, delta)
     per_level = {}
-    for lv, (lo_l, hi_l) in enumerate(block_norms(vecs, delta), start=1):
+    for lv, (lo_l, hi_l) in enumerate(_level_norms(sh.systems[0].blocks, 2), start=1):
         per_level[lv] = hi_l / lo_l
     bound = np.prod(list(per_level.values()))
     assert kappa <= bound * (1 + 1e-9)
@@ -213,9 +229,61 @@ def test_block_conditions_bound_kappa_uniform():
 def test_one_level_blocks_are_exact():
     vecs = ((0.0,), (2.0,))
     delta = (0.25,)
-    blocks = block_norms(vecs, delta)
+    _, sh = _system(vecs, delta)
+    blocks = _level_norms(sh.systems[0].blocks, 1)
     assert len(blocks) == 1
     V = np.array([[1, 1], [1, np.exp(-2j * np.pi * 0.5)]])
     sig = np.linalg.svd(V, compute_uv=False)
     assert blocks[0][0] == pytest.approx(sig[-1])
     assert blocks[0][1] == pytest.approx(sig[0])
+
+
+def _walk_cases():
+    """(vectors, delta) pairs whose recursion has windows of width >= 2
+    below the top level and parents with unequal child counts."""
+    cube = tuple(tuple(map(float, v)) for v in np.ndindex(3, 3, 3))
+    uneven = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, 1.0), (2.0, 2.0))
+    ten = tuple(tuple(map(float, v)) for v in M4)
+    return [(cube, (1 / 3, 1 / 3, 1 / 3)), (uneven, (0.2, 0.3)), (ten, (0.15, 0.25, 0.35, 0.45))]
+
+
+def _data(vecs, rng, cols=None):
+    order = shift_index_set(build_tree(make_frequency_set(np.array(vecs)))).indices
+    size = len(order) if cols is None else (len(order), cols)
+    F = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return order, F
+
+
+def test_one_1d_solve_per_block(monkeypatch):
+    """A walk calls _solve_1d once per block it records: one suffix
+    solve per parent window, whatever the window's width."""
+    calls = []
+    solve_1d = vandermonde._solve_1d
+    monkeypatch.setattr(vandermonde, "_solve_1d", lambda x, b: calls.append(x.size) or solve_1d(x, b))
+    rng = np.random.default_rng(6)
+    for vecs, delta in _walk_cases():
+        blocks = nested_blocks_reference(vecs, delta)
+        order, F = _data(vecs, rng, cols=3)
+        calls.clear()
+        nested_solve(vecs, {j: F[i] for i, j in enumerate(order)}, delta)
+        assert calls == [len(nodes) for _, nodes in blocks]
+        calls.clear()
+        block_conditions(vecs, delta)
+        assert len(calls) == len(blocks)
+    dom, sh = _system(_walk_cases()[0][0], (1 / 3, 1 / 3, 1 / 3))
+    calls.clear()
+    make_shifts(dom, sh.delta)
+    assert len(calls) == len(sh.systems[0].blocks) == len(nested_blocks_reference(sh.systems[0].vectors, sh.delta))
+
+
+def test_scalar_data_is_the_one_column_form():
+    """Scalar data solves bit for bit as the (1,) column of each value."""
+    rng = np.random.default_rng(7)
+    for vecs, delta in _walk_cases():
+        order, F = _data(vecs, rng)
+        scalar = nested_solve(vecs, {j: F[i] for i, j in enumerate(order)}, delta)
+        column = nested_solve(vecs, {j: F[i : i + 1] for i, j in enumerate(order)}, delta)
+        assert all(np.ndim(scalar[v]) == 0 and column[v].shape == (1,) for v in vecs)
+        got = np.array([scalar[v] for v in vecs])
+        want = np.array([column[v][0] for v in vecs])
+        assert got.tobytes() == want.tobytes()

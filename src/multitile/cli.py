@@ -339,7 +339,6 @@ def cmd_dual(domain_path, v_text, q_text, eta_text, n_text, s_pos, grid_n, out_p
             values=vals,
             residuals=np.full(len(ids), np.nan),
             skipped=(),
-            blocks={},
             kept_rows=np.arange(len(ids)),
             kept_cells=ids,
             kept_points=us,

@@ -49,10 +49,11 @@ class PointSystem:
     """One cell's system, built once by make_shifts; arrays are read-only.
 
     solve is the nested recursion run once on the k unit vectors, so
-    solve @ F reconstructs the values for data F; it is None, and
-    reconstruct_grid runs the recursion on the data instead, when the
-    cell is singular or the cell or one of its blocks has a condition
-    number above COND_LIMIT.
+    solve @ F reconstructs the values for data F.  It is None when the
+    cell is singular (dual is None too, and cell_system refuses the
+    cell) or when the cell or one of its blocks has a condition number
+    above COND_LIMIT; reconstruct_grid then runs the recursion on the
+    data instead.
     """
 
     cell: int

@@ -11,7 +11,8 @@ plain integers, and an empty residual field where no oracle ran.
 Non-finite values are refused on write and on read.  All writes go
 through a temporary file in the target directory followed by an
 atomic rename; result tables are formatted and written to it in
-chunks of lines, so their size in memory is bounded.
+chunks of lines, and sample files are parsed in chunks of fields, so
+their size in memory is bounded.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ __all__ = [
 
 DOMAIN_KEYS = {"dimension", "lattice_basis", "cells"}
 CELL_KEYS = {"box", "offsets"}
-CHUNK_LINES = 2**14  # result CSV lines written, or sample rows read, at a time
+CHUNK_LINES = 2**14  # result CSV lines written at a time
+CHUNK_FIELDS = 2**18  # sample CSV fields parsed at a time (at least one row)
 
 
 def _finite_table(table: np.ndarray) -> np.ndarray:
@@ -225,14 +227,16 @@ def write_samples(
 def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Optional[dict]]:
     """Read a sample CSV; returns the data and the sidecar if present.
 
-    The body is parsed CHUNK_LINES rows at a time, so the fields of at
-    most one chunk are held as strings.  Errors name the same row, in
-    the same order of precedence, as a parse of the whole body: the
-    first malformed row of the file, else its first non-finite row.
+    The body is parsed in chunks of at most CHUNK_FIELDS fields (but at
+    least one row), so the fields of at most one chunk are held as
+    strings, whatever k is.  Errors name the same row, in the same order
+    of precedence, as a parse of the whole body: the first malformed row
+    of the file, else its first non-finite row.
     """
     d = domain.dimension
     k = domain.k
     want = 1 + d + 2 * k
+    chunk = max(1, CHUNK_FIELDS // want)
     ids, tables = [], []
     non_finite = None
     try:
@@ -248,14 +252,14 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
                 )
             first = 2  # file row of the chunk's first body row
             while True:
-                cell_ids, table = _parse_rows(path, list(islice(reader, CHUNK_LINES)), want, first)
+                cell_ids, table = _parse_rows(path, list(islice(reader, chunk)), want, first)
                 ids.append(cell_ids)
                 tables.append(table)
                 finite = np.isfinite(table).all(axis=1)
                 if non_finite is None and not finite.all():
                     non_finite = int(np.argmin(finite)) + first
                 first += len(table)
-                if len(table) < CHUNK_LINES:
+                if len(table) < chunk:
                     break
     except OSError as exc:
         raise SpecFormatError(f"{path}: {exc}") from None

@@ -13,10 +13,10 @@ truncated coefficient sum for a finite exponential combination
 the radius grows.  The inner products of all its terms come from one
 batched table of the closed-form kernel of expsystem, and the sum over
 labels is one matrix product per chunk of points.  Reconstruction
-inverts V either densely or through the nested Vandermonde recursion,
-which only ever solves 1D systems; make_shifts runs that recursion
-once per well-conditioned cell, so reconstructing its rows is one
-matrix product.
+inverts V through the nested Vandermonde recursion, which only ever
+solves 1D systems; make_shifts runs that recursion once per
+well-conditioned cell, so reconstructing its rows is one matrix
+product.  A dense solve of V serves only as the oracle.
 
 Both forward_data and reconstruct_grid keep the data row-major and
 scale the small (k, k) matrix rather than the (N, k) data.  A cell
@@ -49,7 +49,7 @@ from .expsystem import (
     _require_uniform,
     cell_system,
 )
-from .vandermonde import _conditions, _solve_columns, _warn_ill_conditioned
+from .vandermonde import _solve_columns, _warn_ill_conditioned
 
 __all__ = [
     "SpectralData",
@@ -80,16 +80,14 @@ def flatten_grid(grid) -> tuple[np.ndarray, np.ndarray]:
     return ids, pts
 
 
-def _check_rows(domain: MultiTileDomain, cell_ids, points) -> list[int]:
-    """The distinct cell ids of N data rows, ascending; SpecFormatError
-    for an id no cell has (the smallest such id), DimensionMismatch for
-    points that are not (N, d)."""
+def _check_rows(domain: MultiTileDomain, cell_ids, points) -> None:
+    """SpecFormatError for a data row whose cell id no cell has (the
+    smallest such id), DimensionMismatch for points that are not (N, d)."""
     unknown = (cell_ids < 0) | (cell_ids >= len(domain.cells))
     if unknown.any():
         raise SpecFormatError(f"data references unknown cell {cell_ids[unknown].min()}")
     if points.shape != (len(cell_ids), domain.dimension):
         raise DimensionMismatch(f"points must have shape (N, {domain.dimension}), got {points.shape}")
-    return np.flatnonzero(np.bincount(cell_ids, minlength=len(domain.cells))).tolist()
 
 
 def forward_data(
@@ -217,7 +215,6 @@ class ReconstructionResult:
     values: np.ndarray        # (M*k,) reconstructed values
     residuals: np.ndarray     # (N,) nested-vs-dense relative residual, NaN if no oracle
     skipped: tuple[int, ...]  # data rows whose grid point was unusable
-    blocks: dict[int, tuple[tuple[int, float], ...]]  # cell -> per-block (level, kappa)
     kept_rows: np.ndarray     # (M,) data rows that were reconstructed, ascending
     kept_cells: np.ndarray    # (M,) their cell ids
     kept_points: np.ndarray   # (M, d) their points of [0,1)^d
@@ -247,21 +244,24 @@ def reconstruct_grid(
 ) -> ReconstructionResult:
     """Reconstruct region values at every data point via nested solves.
 
-    Rows are batched per cell.  A cell with a solve matrix S (the nested
+    Rows are batched per cell, and every cell with usable rows is read
+    through cell_system, so a singular cell raises SingularCell, with
+    or without the oracle.  A cell with a solve matrix S (the nested
     recursion make_shifts ran on the unit vectors) reconstructs all its
     usable rows with one product F @ (S.T / vol) on the row-major data.
     The product reads the cell's rows through a view when they form one
     contiguous run and no row was skipped, as for any flatten_grid
     layout, and is written straight into the result when the cell's
     usable rows form one run; otherwise rows are gathered or scattered
-    once.  A cell without a matrix (ill-conditioned or singular) runs
-    the recursion on all its rows in one walk; its ill-conditioned 1D
-    blocks fall back to dense solves, and the call warns once per such
-    block.  Rows whose point lies outside the box of the cell they name,
-    or outside the domain, are skipped.  With oracle=True every cell's
-    rows are additionally solved densely and the relative difference is
-    reported per data row.  Frequency vectors and block conditioning
-    come from the cell systems make_shifts built.
+    once.  A cell without a matrix (one of its blocks, or V, has a
+    condition number above COND_LIMIT) runs the recursion on all its
+    rows in one walk, and the call warns once per block above
+    COND_LIMIT that make_shifts recorded for the cell.  Rows whose
+    point lies outside the box of the cell they name, or outside the
+    domain, are skipped.  With oracle=True every cell's rows are
+    additionally solved densely and the relative difference is reported
+    per data row.  Frequency vectors and block conditioning come from
+    the cell systems make_shifts built.
     """
     vol = domain.lattice.volume
     k = domain.k
@@ -271,7 +271,7 @@ def reconstruct_grid(
             f"data values must have shape ({n_rows}, {k}), got {data.values.shape}"
         )
     cell_ids = np.asarray(data.cell_ids, dtype=int)
-    present = _check_rows(domain, cell_ids, data.points)
+    _check_rows(domain, cell_ids, data.points)
 
     usable_mask = _cell_rows(domain, data.points) == cell_ids
     usable = np.nonzero(usable_mask)[0]
@@ -280,18 +280,16 @@ def reconstruct_grid(
     usable_cells = cell_ids[usable]
     values = np.empty((len(usable), k), dtype=complex)
     residuals = np.full(n_rows, np.nan)
-    blocks = {ci: tuple(_conditions(shifts.systems[ci].blocks)) for ci in present}
     for ci, rows in _cell_groups(usable_cells):
-        ps = shifts.systems[ci]
+        ps = cell_system(domain, shifts, ci)
         F = data.values[rows if all_usable else usable[rows]]
         if ps.solve is None:
-            walked: list = []
-            values[rows] = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, F.T / vol, walked).T
-            _warn_ill_conditioned(walked)
+            values[rows] = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, F.T / vol, []).T
+            _warn_ill_conditioned(ps.blocks)
         else:
             _product(F, ps.solve.T / vol, values, rows)
         if oracle:
-            direct = reconstruct_direct(cell_system(domain, shifts, ci).V, F.T / vol)
+            direct = reconstruct_direct(ps.V, F.T / vol)
             residuals[usable[rows]] = np.linalg.norm(values[rows].T - direct, axis=0) / np.maximum(
                 np.linalg.norm(direct, axis=0), 1e-300
             )
@@ -300,7 +298,6 @@ def reconstruct_grid(
         values=values.ravel(),
         residuals=residuals,
         skipped=tuple(int(row) for row in np.nonzero(~usable_mask)[0]),
-        blocks=blocks,
         kept_rows=usable,
         kept_cells=usable_cells,
         kept_points=data.points if all_usable else data.points[usable],

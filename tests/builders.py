@@ -4,12 +4,28 @@ Each builder returns a fresh MultiTileDomain.  PERFECT lists the ones
 that admit a perfect direction/modulus pair under find_pair's default
 search bounds; the others only reach a strong pair.  The Hypothesis
 strategy tilings draws random valid domains for property tests.
+run_cli runs the command line in process.
 """
 
+import subprocess
+
 import numpy as np
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from multitile import make_cell, make_domain, make_lattice, nested_solve
+from multitile.cli import main
+
+
+def run_cli(*args):
+    """Run `multitile *args` in process through click's CliRunner; the
+    CompletedProcess holds the exit code, stdout and stderr.  An
+    exception that escapes the command is raised, not turned into
+    exit code 1."""
+    out = CliRunner().invoke(main, list(args))
+    if out.exception is not None and not isinstance(out.exception, SystemExit):
+        raise out.exception
+    return subprocess.CompletedProcess(list(args), out.exit_code, out.stdout, out.stderr)
 
 
 def domain_of(basis, cells):

@@ -7,8 +7,6 @@ and asserts at the stated tolerance.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -38,7 +36,7 @@ from multitile import (
     verify_biorthogonality,
 )
 
-from builders import ALL, PERFECT, domain_of, nested_values, random_offsets
+from builders import ALL, PERFECT, domain_of, nested_values, random_offsets, run_cli
 from oracles import shift_indices_reference
 from test_freqtree import M4
 
@@ -317,39 +315,31 @@ def test_08_truncation_convergence():
     )
 
 
-def _cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "multitile.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-
-
 def test_09_cli_end_to_end(tmp_path):
     worst = 0.0
     for path in sorted(DOMAINS.glob("*.json")):
         dom = str(path)
         samples = tmp_path / f"{path.stem}.csv"
         for step in (
-            _cli("check", "--domain", dom),
-            _cli("shifts", "--domain", dom),
-            _cli("synthesize", "--domain", dom, "--grid", "2",
-                 "--out", str(samples)),
+            run_cli("check", "--domain", dom),
+            run_cli("shifts", "--domain", dom),
+            run_cli("synthesize", "--domain", dom, "--grid", "2",
+                    "--out", str(samples)),
         ):
             assert step.returncode == 0, (path.name, step.stderr)
-        rec = _cli("reconstruct", "--domain", dom, "--samples", str(samples),
-                   "--oracle")
+        rec = run_cli("reconstruct", "--domain", dom, "--samples", str(samples),
+                      "--oracle")
         assert rec.returncode == 0, (path.name, rec.stderr)
         worst = max(worst, float(rec.stdout.split("max oracle residual =")[1]))
-        ver = _cli("verify", "--domain", dom)
+        ver = run_cli("verify", "--domain", dom)
         assert ver.returncode == 0, (path.name, ver.stderr)
 
     bad = tmp_path / "malformed.json"
     bad.write_text('{"dimension": 1}')
-    assert _cli("check", "--domain", str(bad)).returncode == 1
+    assert run_cli("check", "--domain", str(bad)).returncode == 1
 
-    clash = _cli("check", "--domain", str(DOMAINS / "split_2tile.json"),
-                 "--v", "1", "--q", "2")
+    clash = run_cli("check", "--domain", str(DOMAINS / "split_2tile.json"),
+                    "--v", "1", "--q", "2")
     named = "z=0 and z=2" in clash.stderr and "mod 2" in clash.stderr
     ok = worst <= 1e-9 and named and clash.returncode == 2
     _report(

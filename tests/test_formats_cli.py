@@ -43,7 +43,7 @@ from multitile import (
     write_samples,
 )
 
-from builders import ALL, domain_of, tilings, twocell_2tile_2d
+from builders import ALL, domain_of, run_cli, tilings, twocell_2tile_2d
 from multitile import errors, formats
 from multitile.cli import _guard, main
 from oracles import read_samples_reference, write_result_reference, write_samples_reference
@@ -334,7 +334,6 @@ def test_write_result_matches_reference(data):
         values=np.ascontiguousarray(table[kept, d:]).view(complex).ravel(),
         residuals=residuals,
         skipped=tuple(skipped.tolist()),
-        blocks={},
         kept_rows=kept,
         kept_cells=rng.integers(0, len(dom.cells), size=len(kept)),
         kept_points=table[kept, :d],
@@ -413,8 +412,9 @@ def test_read_samples_matches_reference(tmp_path, case):
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_read_samples_in_chunks_matches_reference(tmp_path, monkeypatch, chunk, case):
     """Parsed a few body rows at a time (9 rows in chunks of 1 or 7), the
-    reader gives the same data and the same first error."""
-    monkeypatch.setattr(formats, "CHUNK_LINES", chunk)
+    reader gives the same data and the same first error.  Each row has 9
+    fields, so a budget of 9 chunk fields is one row a chunk."""
+    monkeypatch.setattr(formats, "CHUNK_FIELDS", 9 * chunk)
     _check_read_case(tmp_path, case)
 
 
@@ -527,17 +527,8 @@ def test_cli_function_values_match_per_row_omega(tmp_path):
 # ---------------------------------------------------------------- CLI
 
 
-def _run(*args, **kw):
-    return subprocess.run(
-        [sys.executable, "-m", "multitile.cli", *args],
-        capture_output=True,
-        text=True,
-        **kw,
-    )
-
-
 def test_cli_check_search():
-    out = _run("check", "--domain", str(DOMAINS / "strip_3tile_2d.json"))
+    out = run_cli("check", "--domain", str(DOMAINS / "strip_3tile_2d.json"))
     assert out.returncode == 0, out.stderr
     assert "admissible (searched): kind=perfect" in out.stdout
     assert "delta = " in out.stdout
@@ -545,7 +536,7 @@ def test_cli_check_search():
 
 def test_cli_check_explicit_and_cert_json(tmp_path):
     cert = tmp_path / "cert.json"
-    out = _run(
+    out = run_cli(
         "check",
         "--domain", str(DOMAINS / "interval_2tile.json"),
         "--q", "2",
@@ -620,11 +611,13 @@ def test_error_classes_define_exit_codes():
 
 
 def test_cli_check_inadmissible_exit_2():
-    out = _run(
-        "check",
-        "--domain", str(DOMAINS / "split_2tile.json"),
-        "--v", "1",
-        "--q", "2",
+    """Run as a real `python -m multitile.cli` process, the one test of
+    the module entry point and of its exit status."""
+    out = subprocess.run(
+        [sys.executable, "-m", "multitile.cli", "check",
+         "--domain", str(DOMAINS / "split_2tile.json"), "--v", "1", "--q", "2"],
+        capture_output=True,
+        text=True,
     )
     assert out.returncode == 2
     assert out.stderr == (
@@ -634,7 +627,7 @@ def test_cli_check_inadmissible_exit_2():
 
 
 def test_cli_v_without_q_exit_1():
-    out = _run("check", "--domain", str(DOMAINS / "split_2tile.json"), "--v", "1")
+    out = run_cli("check", "--domain", str(DOMAINS / "split_2tile.json"), "--v", "1")
     assert out.returncode == 1
     assert "--v needs --q" in out.stderr
 
@@ -663,26 +656,26 @@ def test_cli_int_flag_overflow_exit_1(command, flags):
 def test_cli_malformed_domain_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 1, "lattice_basis": [[1.0]], "cells": [], "x": 1}')
-    out = _run("check", "--domain", str(bad))
+    out = run_cli("check", "--domain", str(bad))
     assert out.returncode == 1
     assert "unknown keys" in out.stderr
     bad.write_text("not json")
-    assert _run("check", "--domain", str(bad)).returncode == 1
-    assert _run("check", "--domain", str(tmp_path / "absent.json")).returncode == 1
+    assert run_cli("check", "--domain", str(bad)).returncode == 1
+    assert run_cli("check", "--domain", str(tmp_path / "absent.json")).returncode == 1
 
 
 def test_cli_pipeline_roundtrip(tmp_path):
     domain = str(DOMAINS / "plane_4tile_2d.json")
     samples = tmp_path / "samples.csv"
     result = tmp_path / "result.csv"
-    out = _run(
+    out = run_cli(
         "synthesize", "--domain", domain,
         "--grid", "3", "--seed", "7",
         "--out", str(samples),
     )
     assert out.returncode == 0, out.stderr
     assert "wrote 9 sample rows" in out.stdout
-    out = _run(
+    out = run_cli(
         "reconstruct", "--domain", domain,
         "--samples", str(samples),
         "--oracle", "--out", str(result),
@@ -704,7 +697,7 @@ def test_cli_reconstruct_rejects_foreign_sidecar(tmp_path):
     other_path = tmp_path / "bent_3tile.json"
     save_domain(other, str(other_path))
     samples = tmp_path / "samples.csv"
-    out = _run(
+    out = run_cli(
         "synthesize",
         "--domain", str(DOMAINS / "strip_3tile_2d.json"),
         "--v", "1,1", "--q", "3,2",
@@ -712,7 +705,7 @@ def test_cli_reconstruct_rejects_foreign_sidecar(tmp_path):
         "--out", str(samples),
     )
     assert out.returncode == 0, out.stderr
-    out = _run(
+    out = run_cli(
         "reconstruct",
         "--domain", str(other_path),
         "--samples", str(samples),
@@ -724,10 +717,10 @@ def test_cli_reconstruct_rejects_foreign_sidecar(tmp_path):
 def test_cli_reconstruct_rejects_sidecar_not_object(tmp_path):
     domain = str(DOMAINS / "split_2tile.json")
     samples = tmp_path / "samples.csv"
-    out = _run("synthesize", "--domain", domain, "--grid", "2", "--out", str(samples))
+    out = run_cli("synthesize", "--domain", domain, "--grid", "2", "--out", str(samples))
     assert out.returncode == 0, out.stderr
     (tmp_path / "samples.csv.meta.json").write_text("[1, 2]\n")
-    out = _run("reconstruct", "--domain", domain, "--samples", str(samples))
+    out = run_cli("reconstruct", "--domain", domain, "--samples", str(samples))
     assert out.returncode == 1, out.stderr
     assert "expected a JSON object" in out.stderr
 
@@ -739,7 +732,7 @@ def test_cli_reconstruct_every_row_skipped_exit_1(tmp_path):
     zero rows."""
     domain = str(DOMAINS / "twocell_2tile_1d.json")
     samples = tmp_path / "samples.csv"
-    out = _run("synthesize", "--domain", domain, "--grid", "4", "--out", str(samples))
+    out = run_cli("synthesize", "--domain", domain, "--grid", "4", "--out", str(samples))
     assert out.returncode == 0, out.stderr
     head, *body = samples.read_text().splitlines(keepends=True)
     swapped = "".join(str(1 - int(line[0])) + line[1:] for line in body)
@@ -750,17 +743,41 @@ def test_cli_reconstruct_every_row_skipped_exit_1(tmp_path):
         (outside, "point [1.25] lies outside [0,1)^d"),
     ):
         samples.write_text(head + rows)
-        out = _run("reconstruct", "--domain", domain, "--samples", str(samples),
-                   "--oracle", "--out", str(result))
+        out = run_cli("reconstruct", "--domain", domain, "--samples", str(samples),
+                      "--oracle", "--out", str(result))
         assert out.returncode == 1, out.stderr
         assert out.stdout == ""
         assert out.stderr == f"error: {samples}: every sample row was skipped; row 2: {reason}\n"
         assert not result.exists()
     samples.write_text(head)
-    out = _run("reconstruct", "--domain", domain, "--samples", str(samples), "--oracle", "--out", str(result))
+    out = run_cli("reconstruct", "--domain", domain, "--samples", str(samples), "--oracle", "--out", str(result))
     assert out.returncode == 0, out.stderr
     assert out.stdout == "reconstructed 0 values from 0 rows (0 skipped)\nmax oracle residual = nan\n"
     assert result.read_bytes() == b"y_1,Re_f,Im_f,residual\r\n"
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
+def test_cli_reconstruct_singular_sidecar_exit_2(tmp_path, oracle):
+    """A sidecar spacing of 2e-13 makes interval_2tile's only cell
+    singular (sigma_min 6.3e-13) though its nodes are 1.26e-12 apart:
+    reconstruct exits 2 naming the cell, with or without --oracle, and
+    writes no output file."""
+    domain = str(DOMAINS / "interval_2tile.json")
+    samples = tmp_path / "samples.csv"
+    out = run_cli("synthesize", "--domain", domain, "--grid", "4", "--out", str(samples))
+    assert out.returncode == 0, out.stderr
+    sidecar = tmp_path / "samples.csv.meta.json"
+    meta = json.loads(sidecar.read_text())
+    meta.update(delta=[2e-13], v=None, q=None)
+    sidecar.write_text(json.dumps(meta))
+    result = tmp_path / "r.csv"
+    out = run_cli("reconstruct", "--domain", domain, "--samples", str(samples), *oracle, "--out", str(result))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == (
+        "error: cell 0 system is singular (sigma_min=6.283e-13); "
+        "the spacing is not admissible for this cell\n"
+    )
+    assert not result.exists()
 
 
 def test_cli_work_budget_exit_1(tmp_path):
@@ -785,7 +802,7 @@ def test_cli_work_budget_exit_1(tmp_path):
          "gives 1072536067 coefficient work units"),
     )
     for args, size in cases:
-        out = _run(*args)
+        out = run_cli(*args)
         assert out.returncode == 1, out.stderr
         assert size in out.stderr and "work budget of 1000000" in out.stderr
     assert not (tmp_path / "never.csv").exists()
@@ -795,7 +812,7 @@ def test_cli_synthesize_coeff_mode(tmp_path):
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text('[{"n": [1], "s": 2, "re": 1.0, "im": 0.0}]')
     samples = tmp_path / "samples.csv"
-    out = _run(
+    out = run_cli(
         "synthesize",
         "--domain", str(DOMAINS / "split_2tile.json"),
         "--q", "3",
@@ -808,7 +825,7 @@ def test_cli_synthesize_coeff_mode(tmp_path):
     assert meta["provenance"] == "coefficient-truncated"
     assert meta["radius"] == 6
     assert meta["coeffs"] == [{"im": 0.0, "n": [1], "re": 1.0, "s": 2}]
-    out = _run(
+    out = run_cli(
         "reconstruct",
         "--domain", str(DOMAINS / "split_2tile.json"),
         "--samples", str(samples),
@@ -817,7 +834,7 @@ def test_cli_synthesize_coeff_mode(tmp_path):
 
 
 def test_cli_coeff_mode_needs_function():
-    out = _run(
+    out = run_cli(
         "synthesize",
         "--domain", str(DOMAINS / "split_2tile.json"),
         "--mode", "coeff",
@@ -830,7 +847,7 @@ def test_cli_coeff_mode_needs_function():
 def test_cli_bad_coeff_file_exit_1(tmp_path):
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text('[{"n": [1], "s": 9, "re": 1.0, "im": 0.0}]')
-    out = _run(
+    out = run_cli(
         "synthesize",
         "--domain", str(DOMAINS / "split_2tile.json"),
         "--mode", "coeff",
@@ -882,7 +899,7 @@ def test_cli_synthesize_malformed_input_exit_1(tmp_path, coeffs, flags, message)
 
 def test_cli_verify_and_bounds(tmp_path):
     report = tmp_path / "verify.json"
-    out = _run(
+    out = run_cli(
         "verify",
         "--domain", str(DOMAINS / "interval_2tile.json"),
         "--q", "2", "--radius", "3",
@@ -893,14 +910,14 @@ def test_cli_verify_and_bounds(tmp_path):
     assert obj["residual"] <= 1e-10
     assert obj["radius"] == 3
     assert obj["orthogonal"] is True
-    out = _run("bounds", "--domain", str(DOMAINS / "interval_2tile.json"), "--q", "2")
+    out = run_cli("bounds", "--domain", str(DOMAINS / "interval_2tile.json"), "--q", "2")
     assert out.returncode == 0, out.stderr
     assert "A = " in out.stdout and "B = " in out.stdout
 
 
 def test_cli_dual_csv(tmp_path):
     table = tmp_path / "dual.csv"
-    out = _run(
+    out = run_cli(
         "dual",
         "--domain", str(DOMAINS / "interval_2tile.json"),
         "--q", "2",

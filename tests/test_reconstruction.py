@@ -11,8 +11,10 @@ from hypothesis import assume, given, strategies as st
 from multitile import (
     DimensionMismatch,
     IllConditionedWarning,
+    SingularCell,
     SingularMatrix,
     SpecFormatError,
+    SpectralData,
     build_tree,
     cell_system,
     check,
@@ -314,6 +316,7 @@ def test_ill_conditioned_suffix_block_warns_once_per_block():
     assert caught == [] and ps.solve is None
     ill = [lv for lv, lo, hi in ps.blocks if hi / lo > COND_LIMIT]
     assert [lv for lv, _, _ in ps.blocks] == [1, 2, 2] and ill == [1]
+    ill_kappa = ps.blocks[0][2] / ps.blocks[0][1]
     ids, pts = flatten_grid(sample_grid(dom, 4))
     rng = np.random.default_rng(8)
     y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
@@ -323,8 +326,29 @@ def test_ill_conditioned_suffix_block_warns_once_per_block():
             warnings.simplefilter("always")
             res = reconstruct_grid(dom, sh, dat, oracle=True)
         assert [w.category for w in caught] == [IllConditionedWarning]
-        assert "falling back to a dense solve" in str(caught[0].message)
+        assert str(caught[0].message) == (
+            f"Vandermonde condition number {ill_kappa:.3e} exceeds 1e+08; "
+            "the solved values may be inaccurate"
+        )
         assert np.all(np.isfinite(res.values))
+
+
+def test_singular_cell_refused_with_and_without_oracle():
+    """interval_2tile at delta = 2e-13: sigma_min(V) = 6.3e-13 is below
+    SINGULAR_TOL, while the nodes, 1.26e-12 apart, pass the
+    duplicate-node check.  reconstruct_grid refuses the cell with
+    SingularCell whether or not the oracle runs."""
+    dom = ALL["interval_2tile"]()
+    sh = make_shifts(dom, np.array([2e-13]))
+    ps = sh.systems[0]
+    assert ps.dual is None and ps.solve is None
+    ids, pts = flatten_grid(sample_grid(dom, 4))
+    rng = np.random.default_rng(9)
+    y = rng.normal(size=(len(ids), dom.k)) + 1j * rng.normal(size=(len(ids), dom.k))
+    dat = SpectralData(ids, pts, dom.lattice.volume * y @ ps.V.T, "exact-pointwise")
+    for oracle in (False, True):
+        with pytest.raises(SingularCell, match="cell 0 system is singular"):
+            reconstruct_grid(dom, sh, dat, oracle=oracle)
 
 
 def test_solve_matrix_error_within_10x_nested_up_to_cond_limit():
@@ -384,14 +408,11 @@ def test_cube_d1_k64_round_trip():
 
 
 def test_block_diagnostics_present():
-    dom, sh, ids, pts = _setup("plane_4tile_2d")
-    dat = forward_data(dom, sh, ids, pts, np.ones((len(ids), dom.k), dtype=complex))
-    res = reconstruct_grid(dom, sh, dat)
-    assert 0 in res.blocks
-    levels = {lv for lv, _ in res.blocks[0]}
-    assert levels == {1, 2}
-    for _, kappa in res.blocks[0]:
-        assert kappa >= 1.0
+    dom, sh, _, _ = _setup("plane_4tile_2d")
+    blocks = sh.systems[0].blocks
+    assert {lv for lv, _, _ in blocks} == {1, 2}
+    for _, lo, hi in blocks:
+        assert hi / lo >= 1.0
 
 
 def test_hot_path_imports_no_numpy_ma():

@@ -104,6 +104,31 @@ def test_ill_conditioned_warns_but_solves():
     assert np.all(np.isfinite(got))
 
 
+def test_ill_conditioned_blocks_within_10x_dense_lu():
+    """Above COND_LIMIT the one 1D solver, Bjorck-Pereyra on Leja-ordered
+    nodes, stays within 10x of np.linalg.solve's forward error on the
+    same Vandermonde matrix, for seeded blocks with kappa up to 1e12."""
+    rng = np.random.default_rng(13)
+    kappas = []
+    for k in (3, 4, 6, 8, 12):
+        for _ in range(2):
+            x_int = np.sort(rng.choice(40, size=k, replace=False))
+            for dl in np.geomspace(1e-6, 0.1, 40):
+                x = vandermonde._nodes(x_int, dl)
+                vander = vandermonde._vander_matrix(x)
+                sig = np.linalg.svd(vander, compute_uv=False)
+                if not vandermonde.COND_LIMIT < sig[0] / sig[-1] <= 1e12:
+                    continue
+                y = rng.normal(size=(k, 50)) + 1j * rng.normal(size=(k, 50))
+                b = vander @ y
+                got, _ = vandermonde._solve_1d(x, b.copy())
+                err = np.linalg.norm(got - y) / np.linalg.norm(y)
+                err_lu = np.linalg.norm(np.linalg.solve(vander, b) - y) / np.linalg.norm(y)
+                assert err <= 10 * err_lu, (k, dl, sig[0] / sig[-1])
+                kappas.append(sig[0] / sig[-1])
+    assert len(kappas) >= 50 and min(kappas) < 1e9 and max(kappas) > 1e11
+
+
 def test_nested_matches_dense_random():
     rng = np.random.default_rng(8)
     for _ in range(60):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import sys
 
 import click
@@ -39,6 +38,9 @@ from .expsystem import (
     verify_biorthogonality,
 )
 from .formats import (
+    _is_int,
+    _load_coeffs,
+    _number_list,
     atomic_write_text,
     canonical_json,
     load_domain,
@@ -132,27 +134,6 @@ def _resolve_certificate(domain: MultiTileDomain, v_text, q_text):
     if isinstance(result, AdmissibilityFailure):
         raise ResidueCollision(result.message)
     return result, "given"
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _number_list(raw, d: int, integer: bool, message: str) -> np.ndarray:
-    """A JSON list of d finite numbers (64-bit integers when integer is
-    set), as an array; SpecFormatError(message) otherwise."""
-    error = SpecFormatError(message)
-    if not (isinstance(raw, list) and len(raw) == d and all(
-        _is_int(x) or (not integer and isinstance(x, float)) for x in raw
-    )):
-        raise error
-    try:
-        vec = np.array(raw, dtype=int if integer else float)
-    except OverflowError:
-        raise error from None
-    if not np.isfinite(vec).all():
-        raise error
-    return vec
 
 
 def _sidecar_vector(meta: dict, key: str, d: int, integer: bool = False) -> np.ndarray:
@@ -398,32 +379,6 @@ def cmd_bounds(domain_path, v_text, q_text, eta_text, out_path):
         )
     if out_path:
         atomic_write_text(out_path, canonical_json(dataclasses.asdict(bounds)) + "\n")
-
-
-def _load_coeffs(path: str, d: int, k: int) -> dict:
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, list) or not raw:
-        raise SpecFormatError(f"{path}: expected a nonempty list of coefficient terms")
-    coeffs = {}
-    for i, term in enumerate(raw):
-        if not isinstance(term, dict) or set(term) - {"n", "s", "re", "im"}:
-            raise SpecFormatError(
-                f"{path}: term {i} must be an object with keys n, s, re, im"
-            )
-        n = _number_list(term.get("n"), d, True,
-                         f"{path}: term {i}: n must be a list of {d} integers")
-        s = term.get("s")
-        if not (_is_int(s) and 1 <= s <= k):
-            raise SpecFormatError(f"{path}: term {i}: s must lie in 1..{k}")
-        c = _number_list([term.get("re", 0.0), term.get("im", 0.0)], 2, False,
-                         f"{path}: term {i}: re and im must be finite numbers")
-        key = (tuple(n.tolist()), s)
-        coeffs[key] = coeffs.get(key, 0.0) + complex(*c)
-    return coeffs
 
 
 @main.command("synthesize")

@@ -43,6 +43,8 @@ class Cell:
 
 def make_cell(box, offsets) -> Cell:
     box = np.array(box, dtype=float)
+    if not np.isfinite(box).all():
+        raise SpecFormatError("cell box must be finite")
     if box.ndim != 2 or box.shape[1] != 2:
         raise SpecFormatError(f"cell box must have shape (d, 2), got {box.shape}")
     a, b = box[:, 0], box[:, 1]
@@ -53,6 +55,8 @@ def make_cell(box, offsets) -> Cell:
     box = np.clip(box, 0.0, 1.0)
 
     raw = np.asarray(offsets, dtype=float)
+    if not ((raw >= -(2.0**63)) & (raw < 2.0**63)).all():
+        raise SpecFormatError("offsets must be finite and within the 64-bit integer range")
     if raw.ndim != 2 or raw.shape[1] != box.shape[0]:
         raise SpecFormatError(
             f"offsets must have shape (k, {box.shape[0]}), got {raw.shape}"

@@ -37,9 +37,8 @@ from .errors import (
     SpecFormatError,
 )
 from .freqtree import shift_index_set
-from .vandermonde import COND_LIMIT, _conditions, _level_norms, _solve_columns
+from .vandermonde import COND_LIMIT, SINGULAR_TOL, _conditions, _level_norms, _solve_columns
 
-SINGULAR_TOL = 1e-12
 ORTHO_TOL = 1e-10
 CHUNK = 2**11  # table entries per chunk of the closed-form integrals
 
@@ -123,7 +122,7 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
     eta_vec = domain.lattice.dual_basis @ eta_coords
 
     trees = cell_trees(domain)
-    index_sets = [shift_index_set(tree).indices for tree in trees]
+    index_sets = [shift_index_set(tree) for tree in trees]
     uniform = all(set(s) == set(index_sets[0]) for s in index_sets[1:])
     if uniform:
         index_sets = [index_sets[0]] * len(index_sets)

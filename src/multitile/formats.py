@@ -1,6 +1,8 @@
 """On-disk formats: domain files, sample sets, result tables.
 
-Domain files are strict JSON; unknown keys are rejected so that typos
+This module alone opens input files: UTF-8, with finite JSON numbers
+(not strings, booleans, NaN or Infinity) wherever numbers go.  Domain
+files are strict JSON; unknown keys are rejected so that typos
 fail loudly instead of being ignored.  JSON output is canonical: keys
 sorted, floats printed with 17 significant digits, so equal objects
 serialize to identical bytes.  Sample sets are CSV with a JSON sidecar
@@ -10,9 +12,9 @@ CRLF line endings, floats as %.17g with -0.0 folded to 0, cell ids as
 plain integers, and an empty residual field where no oracle ran.
 Non-finite values are refused on write and on read.  All writes go
 through a temporary file in the target directory followed by an
-atomic rename; result tables are formatted and written to it in
-chunks of lines, and sample files are parsed in chunks of fields, so
-their size in memory is bounded.
+atomic rename.  Both CSV tables are formatted, and sample files are
+parsed, CHUNK_FIELDS fields at a time (at least one row), so their
+size in memory is bounded.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ __all__ = [
 
 DOMAIN_KEYS = {"dimension", "lattice_basis", "cells"}
 CELL_KEYS = {"box", "offsets"}
-CHUNK_LINES = 2**14  # result CSV lines written at a time
-CHUNK_FIELDS = 2**18  # sample CSV fields parsed at a time (at least one row)
+CHUNK_FIELDS = 2**16  # CSV fields formatted or parsed at a time (at least one row)
 
 
 def _finite_table(table: np.ndarray) -> np.ndarray:
@@ -120,17 +121,52 @@ def _require_keys(obj: Mapping, allowed: set, context: str) -> None:
         raise SpecFormatError(f"{context} is missing keys: {sorted(missing)}")
 
 
+def _read_json(path: str):
+    """The JSON value of a UTF-8 file; SpecFormatError naming the file
+    when it cannot be decoded or parsed, or nests too deep."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        raise SpecFormatError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _number_list(raw, d: int, integer: bool, message: str) -> np.ndarray:
+    """A JSON list of d finite numbers (64-bit integers when integer is
+    set), as an array; SpecFormatError(message) otherwise."""
+    error = SpecFormatError(message)
+    if not (isinstance(raw, list) and len(raw) == d and all(
+        _is_int(x) or (not integer and isinstance(x, float)) for x in raw
+    )):
+        raise error
+    try:
+        vec = np.array(raw, dtype=int if integer else float)
+    except OverflowError:
+        raise error from None
+    if not np.isfinite(vec).all():
+        raise error
+    return vec
+
+
+def _number_rows(raw, rows: Optional[int], d: int, message: str) -> np.ndarray:
+    """A nonempty JSON list of _number_list rows of d floats (`rows` of
+    them unless None), as an array; SpecFormatError(message) otherwise."""
+    if not (isinstance(raw, list) and raw and len(raw) == (rows or len(raw))):
+        raise SpecFormatError(message)
+    return np.array([_number_list(row, d, False, message) for row in raw])
+
+
 def parse_domain(obj) -> MultiTileDomain:
     """Build a domain from a parsed JSON object, rejecting malformed input."""
     _require_keys(obj, DOMAIN_KEYS, "domain file")
     d = obj["dimension"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    if not _is_int(d) or d < 1:
         raise SpecFormatError(f"dimension must be a positive integer, got {d!r}")
-    basis = np.asarray(obj["lattice_basis"], dtype=float)
-    if basis.shape != (d, d):
-        raise SpecFormatError(
-            f"lattice_basis must be a {d}x{d} row-major matrix, got shape {basis.shape}"
-        )
+    basis = _number_rows(obj["lattice_basis"], d, d, f"lattice_basis must be {d} rows of {d} finite numbers")
     raw_cells = obj["cells"]
     if not isinstance(raw_cells, Sequence) or isinstance(raw_cells, (str, bytes)):
         raise SpecFormatError("cells must be a list")
@@ -139,23 +175,37 @@ def parse_domain(obj) -> MultiTileDomain:
     cells = []
     for i, entry in enumerate(raw_cells):
         _require_keys(entry, CELL_KEYS, f"cell {i}")
-        box = np.asarray(entry["box"], dtype=float)
-        offsets = np.asarray(entry["offsets"], dtype=float)
-        if box.ndim != 2 or box.shape != (d, 2):
-            raise SpecFormatError(f"cell {i}: box must be a {d}x2 array")
-        if offsets.ndim != 2 or offsets.shape[1] != d:
-            raise SpecFormatError(f"cell {i}: offsets must be rows of {d}-vectors")
+        box = _number_rows(entry["box"], d, 2, f"cell {i}: box must be {d} rows of 2 finite numbers")
+        offsets = _number_rows(entry["offsets"], None, d, f"cell {i}: offsets must be rows of {d} finite numbers")
         cells.append(make_cell(box, offsets))
     return make_domain(make_lattice(basis), cells)
 
 
 def load_domain(path: str) -> MultiTileDomain:
-    try:
-        with open(path) as handle:
-            obj = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"{path}: invalid JSON: {exc}") from None
-    return parse_domain(obj)
+    return parse_domain(_read_json(path))
+
+
+def _load_coeffs(path: str, d: int, k: int) -> dict:
+    """The coefficient terms of a JSON file, summed per (n, s) key."""
+    raw = _read_json(path)
+    if not isinstance(raw, list) or not raw:
+        raise SpecFormatError(f"{path}: expected a nonempty list of coefficient terms")
+    coeffs = {}
+    for i, term in enumerate(raw):
+        if not isinstance(term, dict) or set(term) - {"n", "s", "re", "im"}:
+            raise SpecFormatError(
+                f"{path}: term {i} must be an object with keys n, s, re, im"
+            )
+        n = _number_list(term.get("n"), d, True,
+                         f"{path}: term {i}: n must be a list of {d} integers")
+        s = term.get("s")
+        if not (_is_int(s) and 1 <= s <= k):
+            raise SpecFormatError(f"{path}: term {i}: s must lie in 1..{k}")
+        c = _number_list([term.get("re", 0.0), term.get("im", 0.0)], 2, False,
+                         f"{path}: term {i}: re and im must be finite numbers")
+        key = (tuple(n.tolist()), s)
+        coeffs[key] = coeffs.get(key, 0.0) + complex(*c)
+    return coeffs
 
 
 def domain_to_obj(domain: MultiTileDomain) -> dict:
@@ -177,11 +227,14 @@ def _sidecar_path(path: str) -> str:
     return path + ".meta.json"
 
 
-def _csv_rows(columns: Sequence[np.ndarray], row_format: str) -> str:
+def _csv_rows(columns: Sequence[np.ndarray], row_format: str) -> Iterator[str]:
     """One line per row of the columns (arrays set side by side), each
-    formatted by row_format."""
-    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
-    return (row_format * len(cells)) % tuple(cells.ravel())
+    formatted by row_format, which holds one conversion per field; the
+    lines come CHUNK_FIELDS fields at a time (at least one row)."""
+    step = max(1, CHUNK_FIELDS // row_format.count("%"))
+    for start in range(0, len(columns[0]), step):
+        cells = np.column_stack([np.asarray(c[start:start + step], dtype=object) for c in columns])
+        yield (row_format * len(cells)) % tuple(cells.ravel())
 
 
 def _csv_header(header: Sequence[str]) -> str:
@@ -206,7 +259,7 @@ def write_samples(
     values = np.ascontiguousarray(data.values, dtype=complex).view(float)
     table = _finite_table(np.concatenate([data.points, values], axis=1))
     row_format = "%d" + ",%.17g" * table.shape[1] + "\r\n"
-    atomic_write_text(path, (_csv_header(header), _csv_rows([data.cell_ids, table], row_format)))
+    atomic_write_text(path, chain((_csv_header(header),), _csv_rows([data.cell_ids, table], row_format)))
 
     meta = {
         "format": "multitile-samples",
@@ -240,7 +293,7 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
     ids, tables = [], []
     non_finite = None
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -261,7 +314,7 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
                 first += len(table)
                 if len(table) < chunk:
                     break
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise SpecFormatError(f"{path}: {exc}") from None
     if non_finite is not None:
         raise SpecFormatError(f"{path}: row {non_finite}: non-finite point or value")
@@ -272,11 +325,7 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
     meta = None
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
-        try:
-            with open(sidecar) as handle:
-                meta = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{sidecar}: invalid JSON: {exc}") from None
+        meta = _read_json(sidecar)
         if not isinstance(meta, dict):
             raise SpecFormatError(f"{sidecar}: expected a JSON object")
     provenance = "exact-pointwise"
@@ -322,9 +371,9 @@ def write_result(path: str, result: ReconstructionResult, dimension: int) -> Non
     One line per value, in the order of result.values: the region
     point, the value and the residual of its data row, the residual
     field empty where it is NaN (no oracle ran).  The lines are
-    formatted and written CHUNK_LINES at a time (at least one kept row
-    of k lines per chunk), each chunk's region points computed from its
-    kept rows, so neither the whole table nor the whole text is ever
+    formatted and written CHUNK_FIELDS fields at a time (at least one
+    kept row of k lines per chunk), each chunk's region points computed
+    from its kept rows, so neither the whole table nor the whole text is ever
     held, and the result's points, source_rows and regions are never
     read.  A non-finite entry raises on the first one in line order and
     leaves the target as it was.
@@ -342,7 +391,7 @@ def _result_rows(result: ReconstructionResult) -> Iterator[str]:
     base = result.kept_points @ domain.lattice.basis.T
     values = np.ascontiguousarray(result.values, dtype=complex).view(float).reshape(-1, 2)
     row_format = "%.17g," * (domain.dimension + 2) + "%s\r\n"
-    step = max(1, CHUNK_LINES // k)
+    step = max(1, CHUNK_FIELDS // (k * row_format.count("%")))
     for start in range(0, len(result.kept_rows), step):
         rows = slice(start, start + step)
         residuals = result.residuals[result.kept_rows[rows]] + 0.0
@@ -354,4 +403,4 @@ def _result_rows(result: ReconstructionResult) -> Iterator[str]:
             np.repeat(np.where(missing, 0.0, residuals), k),
         ]))
         text = np.array(["" if m else "%.17g" % r for m, r in zip(missing, residuals)], dtype=object)
-        yield _csv_rows([table[:, :-1], np.repeat(text, k)], row_format)
+        yield from _csv_rows([table[:, :-1], np.repeat(text, k)], row_format)

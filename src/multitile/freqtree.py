@@ -33,10 +33,10 @@ class FrequencySet:
         return len(self.vectors)
 
 
-def make_frequency_set(vectors, tol: float = GROUP_TOL) -> FrequencySet:
+def make_frequency_set(vectors) -> FrequencySet:
     """Canonicalize coordinates to tolerance and build a FrequencySet.
 
-    Values in one coordinate that fall within `tol` of each other are
+    Values in one coordinate that fall within GROUP_TOL of each other are
     snapped to a shared representative, so later equality tests on
     prefixes and child values are exact.
     """
@@ -53,7 +53,7 @@ def make_frequency_set(vectors, tol: float = GROUP_TOL) -> FrequencySet:
         prev = np.nan
         for idx in order:
             v = col[idx]
-            if not np.isfinite(prev) or v - prev > tol:
+            if not np.isfinite(prev) or v - prev > GROUP_TOL:
                 rep = v
             col[idx] = rep
             prev = v
@@ -91,19 +91,6 @@ class FrequencyTree:
     def level_sizes(self) -> tuple[int, ...]:
         """Number of distinct prefixes at each level."""
         return tuple(len(lv.nodes) for lv in self.levels)
-
-
-@dataclass(frozen=True)
-class ShiftIndexSet:
-    """Ordered list of integer index vectors, one per frequency vector."""
-
-    indices: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
 
 
 def _group(vectors):
@@ -174,6 +161,7 @@ def _k_index(vectors) -> list[tuple[int, ...]]:
     return out
 
 
-def shift_index_set(tree: FrequencyTree) -> ShiftIndexSet:
-    """The shift index set of the tree; same cardinality as the set."""
-    return ShiftIndexSet(indices=tuple(_k_index(tree.frequencies.vectors)))
+def shift_index_set(tree: FrequencyTree) -> tuple[tuple[int, ...], ...]:
+    """The shift index set of the tree: its integer index vectors in
+    order, one per frequency vector."""
+    return tuple(_k_index(tree.frequencies.vectors))

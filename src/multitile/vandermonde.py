@@ -28,11 +28,12 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateNodes, IllConditionedWarning
+from .errors import DimensionMismatch, DuplicateNodes, IllConditionedWarning, SingularMatrix
 from .freqtree import _group, _k_index
 
 NODE_TOL = 1e-12
 COND_LIMIT = 1e8
+SINGULAR_TOL = 1e-12  # smallest singular value of a solvable block or cell
 
 
 def _vander_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -208,7 +209,9 @@ def nested_solve(vectors, data, delta) -> dict:
     scalar or an (N,) vector like the data.  The data become one (k, N)
     array of columns here, and one walk of the recursion solves them
     all; an IllConditionedWarning is emitted for every block of the
-    walk whose condition number exceeds COND_LIMIT.
+    walk whose condition number exceeds COND_LIMIT, and SingularMatrix
+    is raised, naming the first, when a block's sigma_min is below
+    SINGULAR_TOL.
     """
     delta = tuple(delta)
     if len(vectors[0]) != len(delta):
@@ -220,6 +223,9 @@ def nested_solve(vectors, data, delta) -> dict:
     scalar = columns.ndim == 1
     blocks: list = []
     values = _nested(vectors, index, columns[:, None] if scalar else columns, delta, blocks)
+    for level, lo, _ in blocks:
+        if lo < SINGULAR_TOL:
+            raise SingularMatrix(f"level {level} Vandermonde block is singular (sigma_min={lo:.3e})")
     _warn_ill_conditioned(blocks)
     return {v: row[0] if scalar else row for v, row in zip(vectors, values)}
 

@@ -66,7 +66,7 @@ def test_01_counting_law():
     for vecs in _hundred_sets():
         fs = make_frequency_set(vecs)
         tree = build_tree(fs)
-        assert len(shift_index_set(tree).indices) == len(fs.vectors)
+        assert len(shift_index_set(tree)) == len(fs.vectors)
         for level, lv in enumerate(tree.levels, start=1):
             counts = [len(ch) for ch in lv.children]
             assert counts == sorted(counts)
@@ -91,7 +91,7 @@ def test_01_counting_law():
 def test_02_reference_port_parity():
     cases = [M4] + _hundred_sets()
     for vecs in cases:
-        built = set(shift_index_set(build_tree(make_frequency_set(vecs))).indices)
+        built = set(shift_index_set(build_tree(make_frequency_set(vecs))))
         ported = set(shift_indices_reference(np.asarray(vecs, dtype=float)))
         assert built == ported
     _report(
@@ -133,7 +133,7 @@ def test_03_nested_solver_matches_dense():
         ps = cell_system(dom, sh, 0)
         tree = build_tree(make_frequency_set(dom.cells[0].offsets))
         F = rng.normal(size=k) + 1j * rng.normal(size=k)
-        nested = nested_values(tree.frequencies.vectors, shift_index_set(tree).indices, sh.delta, F)
+        nested = nested_values(tree.frequencies.vectors, shift_index_set(tree), sh.delta, F)
         dense = reconstruct_direct(ps.V, F)
         worst_solve = max(
             worst_solve,

@@ -10,6 +10,7 @@ from multitile import (
     NotATiling,
     OutOfDomain,
     PointOnGap,
+    SpecFormatError,
     cell_index_at,
     make_cell,
     make_domain,
@@ -44,6 +45,26 @@ def test_make_cell_rejects_bad_boxes():
         make_cell([[0.0, 1.5]], [[0]])  # pokes out of the unit cube
     with pytest.raises(Exception):
         make_cell([[0.3, 0.3]], [[0]])  # empty side
+
+
+@pytest.mark.parametrize(
+    "box,offsets,message",
+    [
+        ([[0.0, np.nan]], [[0]], "box must be finite"),
+        ([[0.0, np.inf]], [[0]], "box must be finite"),
+        ([[0, 1]], [[0], [np.nan]], "64-bit integer range"),
+        ([[0, 1]], [[0], [1e30]], "64-bit integer range"),
+        ([[0, 1]], [[0], [2.0**63]], "64-bit integer range"),
+    ],
+)
+def test_make_cell_rejects_non_finite_and_huge(box, offsets, message):
+    with pytest.raises(SpecFormatError, match=message):
+        make_cell(box, offsets)
+
+
+def test_make_cell_keeps_int64_extremes():
+    c = make_cell([[0, 1]], [[-(2.0**63)], [2.0**63 - 1024]])
+    assert c.offsets.tolist() == [[-(2**63)], [2**63 - 1024]]
 
 
 def test_validate_inconsistent_k():

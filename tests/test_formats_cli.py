@@ -296,6 +296,19 @@ def _outcome(write, path):
 
 @given(st.data())
 def test_write_samples_matches_reference(data):
+    _check_write_samples(data, formats.CHUNK_FIELDS)
+
+
+@given(st.data())
+def test_write_samples_in_chunks_matches_reference(data):
+    """A budget of 20 chunk fields splits the rows (4 to 20 fields
+    each) into chunks of 1 to 5."""
+    _check_write_samples(data, 20)
+
+
+def _check_write_samples(data, fields):
+    """write_samples, formatting `fields` CSV fields at a time, gives
+    the bytes or the error of the one-shot reference writer."""
     d, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
     n = data.draw(st.integers(0, 50))
     dom, sh = _box_domain(d, k)
@@ -306,7 +319,8 @@ def test_write_samples_matches_reference(data):
         values=np.ascontiguousarray(table[:, d:]).view(complex),
         provenance="exact-pointwise",
     )
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "CHUNK_FIELDS", fields)
         got = _outcome(lambda p: write_samples(p, dom, sh, samples), f"{tmp}/a.csv")
         want = _outcome(lambda p: write_samples_reference(p, dom, sh, samples), f"{tmp}/b.csv")
     assert got == want
@@ -364,14 +378,15 @@ def test_write_result_chunks_do_not_change_bytes(tmp_path, monkeypatch):
     result = reconstruct_grid(dom, sh, data, oracle=True)
     assert result.skipped == (3,)
     kept = len(result.kept_rows)
-    assert kept == 49 and formats.CHUNK_LINES >= kept * dom.k
+    row_fields = dom.k * (dom.dimension + 3)  # k lines of point, value and residual
+    assert kept == 49 and formats.CHUNK_FIELDS >= kept * row_fields
     write_result(str(tmp_path / "whole.csv"), result, dom.dimension)
     want = (tmp_path / "whole.csv").read_bytes()
     assert want.count(b"\r\n") == 1 + kept * dom.k
-    for lines in (1, 3 * dom.k, 5 * dom.k + 1):  # 1, 3 and 5 rows per chunk
-        monkeypatch.setattr(formats, "CHUNK_LINES", lines)
+    for fields in (1, 3 * row_fields, 5 * row_fields + 1):  # 1, 3 and 5 rows per chunk
+        monkeypatch.setattr(formats, "CHUNK_FIELDS", fields)
         write_result(str(tmp_path / "chunked.csv"), result, dom.dimension)
-        assert (tmp_path / "chunked.csv").read_bytes() == want, lines
+        assert (tmp_path / "chunked.csv").read_bytes() == want, fields
 
 
 def _set_field(row, col, text):
@@ -662,6 +677,78 @@ def test_cli_malformed_domain_exit_1(tmp_path):
     bad.write_text("not json")
     assert run_cli("check", "--domain", str(bad)).returncode == 1
     assert run_cli("check", "--domain", str(tmp_path / "absent.json")).returncode == 1
+
+
+INTERVAL = (DOMAINS / "interval_2tile.json").read_text()
+
+
+def _interval(old, new):
+    assert old in INTERVAL
+    return INTERVAL.replace(old, new).encode()
+
+
+def _replace(old, new):
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+# name: (file, its new bytes or an edit of its bytes, whether the
+# message names the file); each file is one that a command reads
+MALFORMED_FILES = {
+    "domain-non-utf8": ("domain", INTERVAL.encode().replace(b"[[1]]", b"[[1\xff]]"), True),
+    "domain-huge-int": ("domain", _interval('"dimension":1', '"dimension":1' + "0" * 4300), True),
+    "domain-deep": ("domain", b"[" * 100_000 + b"]" * 100_000, True),
+    "basis-string": ("domain", _interval('"lattice_basis":[[1]]', '"lattice_basis":[["a"]]'), False),
+    "box-string": ("domain", _interval('"box":[[0,1]]', '"box":"x"'), False),
+    "offsets-ragged": ("domain", _interval('"offsets":[[0],[1]]', '"offsets":[[0],[2,3]]'), False),
+    "box-nan-string": ("domain", _interval('"box":[[0,1]]', '"box":[[0,"nan"]]'), False),
+    "box-number-string": ("domain", _interval('"box":[[0,1]]', '"box":[[0,"1"]]'), False),
+    "offsets-string-bool": ("domain", _interval('"offsets":[[0],[1]]', '"offsets":[["0"],[true]]'), False),
+    "offset-1e400": ("domain", _interval('"offsets":[[0],[1]]', '"offsets":[[0],[1e400]]'), False),
+    "offset-1e30": ("domain", _interval('"offsets":[[0],[1]]', '"offsets":[[0],[1e30]]'), False),
+    "samples-non-utf8": ("samples", _replace(b"\r\n0,", b"\r\n0\xff,"), True),
+    "samples-long-field": ("samples", _replace(b"\r\n0,", b"\r\n0," + b"1" * 131_073), True),
+    "sidecar-non-utf8": ("sidecar", _replace(b'"format"', b'"form\xffat"'), True),
+    "sidecar-deep": ("sidecar", b"[" * 100_000 + b"]" * 100_000, True),
+    "coeffs-non-utf8": ("coeffs", b'[{"n": [0], "s": 1, "re": 1.0\xff}]', True),
+    "coeffs-huge-int": ("coeffs", b'[{"n": [0], "s": 1, "re": 1' + b"0" * 4300 + b"}]", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_cli_malformed_file_exit_1(tmp_path, case):
+    """Every input file that cannot be decoded, parsed or read as the
+    documented numbers exits 1 with a one-line message, naming the file
+    when it cannot be decoded or parsed, and writes no output."""
+    kind, content, named = MALFORMED_FILES[case]
+    domain = tmp_path / "domain.json"
+    samples = tmp_path / "samples.csv"
+    domain.write_text(INTERVAL)
+    assert run_cli("synthesize", "--domain", str(domain), "--grid", "2", "--out", str(samples)).returncode == 0
+    paths = {
+        "domain": domain,
+        "samples": samples,
+        "sidecar": tmp_path / "samples.csv.meta.json",
+        "coeffs": tmp_path / "coeffs.json",
+    }
+    target = paths[kind]
+    if callable(content):
+        content = content(target.read_bytes())
+    target.write_bytes(content)
+    out_path = tmp_path / "out"
+    args = {
+        "domain": ("check",),
+        "samples": ("reconstruct", "--samples", str(samples)),
+        "sidecar": ("reconstruct", "--samples", str(samples)),
+        "coeffs": ("synthesize", "--function", str(target)),
+    }[kind]
+    out = run_cli(*args, "--domain", str(domain), "--out", str(out_path))
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+    assert not named or str(target) in out.stderr, out.stderr
+    assert not out_path.exists()
 
 
 def test_cli_pipeline_roundtrip(tmp_path):

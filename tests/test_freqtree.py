@@ -39,7 +39,7 @@ def test_worked_example_level2_child_counts():
 
 
 def test_worked_example_matches_reference_port():
-    got = set(shift_index_set(build_tree(make_frequency_set(M4))).indices)
+    got = set(shift_index_set(build_tree(make_frequency_set(M4))))
     want = set(shift_indices_reference(M4))
     assert got == want
     assert len(got) == 10
@@ -63,7 +63,7 @@ def test_counting_law_random_sets():
         vecs = random_offsets(rng, d, k)
         fs = make_frequency_set(vecs)
         tree = build_tree(fs)
-        K = shift_index_set(tree).indices
+        K = shift_index_set(tree)
         assert len(K) == len(set(K)) == k
         # level sizes count the distinct prefixes directly
         for l, size in enumerate(tree.level_sizes, start=1):
@@ -77,7 +77,7 @@ def test_reference_port_parity_random_sets():
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, 11))
         vecs = random_offsets(rng, d, k)
-        got = set(shift_index_set(build_tree(make_frequency_set(vecs))).indices)
+        got = set(shift_index_set(build_tree(make_frequency_set(vecs))))
         want = set(shift_indices_reference(vecs))
         assert got == want
 
@@ -85,13 +85,13 @@ def test_reference_port_parity_random_sets():
 @given(tilings())
 def test_reference_port_parity_random_tilings(dom):
     for c in dom.cells:
-        got = set(shift_index_set(build_tree(make_frequency_set(c.offsets))).indices)
+        got = set(shift_index_set(build_tree(make_frequency_set(c.offsets))))
         assert got == set(shift_indices_reference(c.offsets))
 
 
 def test_two_column_pair():
     vecs = np.array([[0.0, 0.0], [1.0, 0.0]])
-    K = shift_index_set(build_tree(make_frequency_set(vecs))).indices
+    K = shift_index_set(build_tree(make_frequency_set(vecs)))
     assert set(K) == {(0, 0), (1, 0)}
 
 
@@ -106,4 +106,4 @@ def test_grouping_tolerance():
 
 def test_single_vector():
     tree = build_tree(make_frequency_set(np.array([[3.0, -2.0]])))
-    assert shift_index_set(tree).indices == ((0, 0),)
+    assert shift_index_set(tree) == ((0, 0),)

@@ -94,7 +94,7 @@ def test_linearity():
     dom = ALL["plane_4tile_2d"]()
     sh = make_shifts(dom, find_pair(dom))
     fs = make_frequency_set(dom.cells[0].offsets)
-    order = shift_index_set(build_tree(fs)).indices
+    order = shift_index_set(build_tree(fs))
     mu = 0.7 - 1.3j
     F1 = rng.normal(size=dom.k) + 1j * rng.normal(size=dom.k)
     F2 = rng.normal(size=dom.k) + 1j * rng.normal(size=dom.k)
@@ -110,7 +110,7 @@ def test_nested_solve_mapping_and_order():
     dom = _mixed_two_cell()
     sh = make_shifts(dom, find_pair(dom))
     fs = make_frequency_set(dom.cells[0].offsets)
-    order = shift_index_set(build_tree(fs)).indices
+    order = shift_index_set(build_tree(fs))
     F = np.random.default_rng(3).normal(size=dom.k) + 1j
     forward = nested_solve(fs.vectors, {j: F[i] for i, j in enumerate(order)}, sh.delta)
     backward = nested_solve(fs.vectors, {j: F[i] for i, j in reversed(list(enumerate(order)))}, sh.delta)
@@ -269,7 +269,7 @@ def test_grid_matches_per_row_points():
         want = np.concatenate([
             nested_values(
                 trees[ids[row]].frequencies.vectors,
-                shift_index_set(trees[ids[row]]).indices,
+                shift_index_set(trees[ids[row]]),
                 sh.delta,
                 dat.values[row] / vol,
             )

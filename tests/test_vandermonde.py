@@ -5,6 +5,7 @@ from multitile import (
     DimensionMismatch,
     DuplicateNodes,
     IllConditionedWarning,
+    SingularMatrix,
     block_conditions,
     build_tree,
     make_frequency_set,
@@ -98,6 +99,13 @@ def test_duplicate_nodes_rejected():
         _solve([0.0, 1e-13], 1.0, np.array([1.0, 2.0]))
 
 
+def test_singular_block_refused():
+    # delta 2e-13: the nodes are 1.26e-12 apart, past NODE_TOL, but
+    # sigma_min = 6.3e-13 is below SINGULAR_TOL
+    with pytest.raises(SingularMatrix, match=r"level 1 .*sigma_min=6\.28\de-13"):
+        nested_solve(((0.0,), (1.0,)), {(0,): 1.0, (1,): 2.0}, (2e-13,))
+
+
 def test_ill_conditioned_warns_but_solves():
     with pytest.warns(IllConditionedWarning):
         got = _solve([0.0, -1e-10, -0.5], 1.0, np.array([1.0, 2.0, 3.0]))
@@ -169,7 +177,7 @@ def _separated(nodes, gap=1e-3):
 def _k_order(vecs):
     from multitile import build_tree, shift_index_set
 
-    return shift_index_set(build_tree(make_frequency_set(np.array(vecs)))).indices
+    return shift_index_set(build_tree(make_frequency_set(np.array(vecs))))
 
 
 def _assemble(vecs, delta):
@@ -273,7 +281,7 @@ def _walk_cases():
 
 
 def _data(vecs, rng, cols=None):
-    order = shift_index_set(build_tree(make_frequency_set(np.array(vecs)))).indices
+    order = shift_index_set(build_tree(make_frequency_set(np.array(vecs))))
     size = len(order) if cols is None else (len(order), cols)
     F = rng.normal(size=size) + 1j * rng.normal(size=size)
     return order, F

@@ -3,11 +3,11 @@
 A pair of positive integer vectors (v, q) is admissible when, for every
 cell's frequency tree, every level l, and every prefix, the residues
 v_l·z mod q_l of the prefix's child values z are pairwise distinct.
-Offsets are integers, so these residues are whole numbers and every
-admissible pair is strong; a strong pair whose q equals the common
-child-count vector q* (any pair when k = 1) is perfect and yields an
-orthogonal basis.  Distinctness is judged circularly (distance on a
-circle of circumference q_l) with tolerance 1e-9.
+Offsets are Python ints, so the residues are exact integers in
+[0, q_l), compared with ==, at any offset size; every admissible pair
+is strong, and a strong pair whose q equals the common child-count
+vector q* (any pair when k = 1) is perfect and yields an orthogonal
+basis.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import numpy as np
 
 from .domain import MultiTileDomain
 from .errors import DimensionMismatch, NoPairFound, SpecFormatError
-from .freqtree import build_tree, make_frequency_set
-
-RESIDUE_TOL = 1e-9
+from .freqtree import _integer_array, build_tree, make_frequency_set
 
 
 @dataclass(frozen=True)
@@ -32,9 +30,9 @@ class LevelWitness:
 
     cell: int
     level: int
-    parent: tuple[float, ...]
-    children: tuple[float, ...]
-    residues: tuple[float, ...]
+    parent: tuple[int, ...]
+    children: tuple[int, ...]
+    residues: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,9 @@ class AdmissibilityFailure:
     q: tuple[int, ...]
     cell: int
     level: int
-    parent: tuple[float, ...]
-    pair: tuple[float, float]      # colliding child values
-    residues: tuple[float, float]
+    parent: tuple[int, ...]
+    pair: tuple[int, int]          # colliding child values
+    residues: tuple[int, int]
     message: str
 
 
@@ -62,26 +60,23 @@ CheckResult = Union[AdmissibilityCertificate, AdmissibilityFailure]
 
 
 def _check_vq(domain: MultiTileDomain, vq, name: str) -> tuple[int, ...]:
-    arr = np.asarray(vq)
+    arr = _integer_array(vq, name)
     if arr.shape != (domain.dimension,):
         raise DimensionMismatch(
             f"{name} must have one entry per dimension, got shape {arr.shape}"
         )
-    if np.any(np.abs(arr - np.rint(arr)) > 1e-9) or np.any(np.rint(arr) < 1):
-        raise SpecFormatError(f"{name} must be positive integers, got {list(arr)}")
-    return tuple(int(x) for x in np.rint(arr))
+    if np.any(arr < 1):
+        raise SpecFormatError(f"{name} must be positive integers, got {arr.tolist()}")
+    return tuple(arr.tolist())
 
 
 def _collision(children, v_l: int, q_l: int):
     """Residues v_l·z mod q_l of one prefix's children, and the index
-    pair of their first circular collision (None when all distinct)."""
-    residues = [math.fmod(v_l * z, q_l) for z in children]
-    residues = [r + q_l if r < 0.0 else r for r in residues]
-    for i in range(len(residues)):
-        for j in range(i + 1, len(residues)):
-            d0 = abs(residues[i] - residues[j])
-            if min(d0, q_l - d0) <= RESIDUE_TOL:
-                return residues, (i, j)
+    pair of their first collision (None when all distinct)."""
+    residues = [v_l * z % q_l for z in children]
+    for i, j in itertools.combinations(range(len(residues)), 2):
+        if residues[i] == residues[j]:
+            return residues, (i, j)
     return residues, None
 
 
@@ -110,9 +105,9 @@ def _certify(domain: MultiTileDomain, trees, v, q) -> CheckResult:
                         residues=(residues[i], residues[j]),
                         message=(
                             f"collision in cell {ci}, level {lv.level}, "
-                            f"prefix {parent}: children z={children[i]:g} and "
-                            f"z={children[j]:g} give {residues[i]:g} = "
-                            f"{residues[j]:g} (mod {ql})"
+                            f"prefix {parent}: children z={children[i]} and "
+                            f"z={children[j]} give {residues[i]} = "
+                            f"{residues[j]} (mod {ql})"
                         ),
                     )
                 witnesses.append(
@@ -193,16 +188,10 @@ def perfect_shift_1d(offsets) -> Optional[float]:
     delta = tau/k places the Vandermonde nodes on all k-th roots of
     unity, so the cell matrix satisfies kappa(V) = 1 exactly.
     """
-    arr = np.asarray(offsets)
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        arr = arr[:, 0]
-    if arr.ndim != 1 or arr.size == 0:
-        raise SpecFormatError(f"offsets must be a 1D list, got shape {arr.shape}")
-    if np.any(np.abs(arr - np.rint(arr)) > 1e-9):
-        raise SpecFormatError("offsets must be integers")
-    zs = [int(x) for x in np.rint(arr)]
-    if len(set(zs)) != len(zs):
-        raise SpecFormatError("offsets must be distinct")
+    fs = make_frequency_set(offsets)
+    if fs.dimension != 1:
+        raise SpecFormatError(f"offsets must be a 1D list, got dimension {fs.dimension}")
+    zs = [z for (z,) in fs.vectors]
     k = len(zs)
     if k == 1:
         return 1.0

@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DuplicateOffset,
     InconsistentK,
     NotATiling,
     OutOfDomain,
     PointOnGap,
     SpecFormatError,
 )
+from .freqtree import _integer_array, make_frequency_set
 from .lattice import Lattice, _reduce_rows
 
 BOX_TOL = 1e-12       # geometric comparisons on box faces
@@ -38,7 +38,7 @@ class Cell:
     """
 
     box: np.ndarray      # (d, 2) columns [a_i, b_i]
-    offsets: np.ndarray  # (k, d) integer
+    offsets: np.ndarray  # (k, d) int64
 
 
 def make_cell(box, offsets) -> Cell:
@@ -54,22 +54,15 @@ def make_cell(box, offsets) -> Cell:
         raise SpecFormatError("cell box has an empty or inverted side")
     box = np.clip(box, 0.0, 1.0)
 
-    raw = np.asarray(offsets, dtype=float)
-    if not ((raw >= -(2.0**63)) & (raw < 2.0**63)).all():
-        raise SpecFormatError("offsets must be finite and within the 64-bit integer range")
+    raw = np.asarray(offsets)
     if raw.ndim != 2 or raw.shape[1] != box.shape[0]:
         raise SpecFormatError(
             f"offsets must have shape (k, {box.shape[0]}), got {raw.shape}"
         )
     if raw.shape[0] == 0:
         raise SpecFormatError("cell needs at least one offset")
-    if np.any(np.abs(raw - np.rint(raw)) > 1e-9):
-        raise SpecFormatError("offsets must be integer vectors")
-    ints = np.rint(raw).astype(int)
-    order = np.lexsort(ints.T[::-1])  # lexicographic, first coordinate primary
-    ints = ints[order]
-    if any(np.array_equal(ints[i], ints[i + 1]) for i in range(len(ints) - 1)):
-        raise DuplicateOffset("cell lists a lattice offset twice")
+    # lexicographic, first coordinate primary
+    ints = np.array(sorted(make_frequency_set(_integer_array(raw, "offsets")).vectors), dtype=np.int64)
     box.setflags(write=False)
     ints.setflags(write=False)
     return Cell(box=box, offsets=ints)

@@ -36,8 +36,8 @@ from .errors import (
     SingularCell,
     SpecFormatError,
 )
-from .freqtree import shift_index_set
-from .vandermonde import COND_LIMIT, SINGULAR_TOL, _conditions, _level_norms, _solve_columns
+from .freqtree import _integer_array, shift_index_set
+from .vandermonde import COND_LIMIT, SINGULAR_TOL, _conditions, _level_norms, _phases, _solve_columns
 
 ORTHO_TOL = 1e-10
 CHUNK = 2**11  # table entries per chunk of the closed-form integrals
@@ -59,7 +59,7 @@ class PointSystem:
     V: np.ndarray               # [s, r] = exp(-2 pi i <delta*j_s, z_r>)
     sigma: np.ndarray           # singular values of V, largest first
     dual: Optional[np.ndarray]  # [r, s] = k V[s, r] V^-1[r, s]; None if singular
-    vectors: tuple[tuple[float, ...], ...]  # frequency vectors, recursion order
+    vectors: tuple[tuple[int, ...], ...]  # frequency vectors, recursion order
     # (level, sigma_min, sigma_max) of every 1D block of the nested recursion
     blocks: tuple[tuple[int, np.float64, np.float64], ...]
     # [r, s]: values in vectors order from data in index-set order; or None
@@ -84,6 +84,7 @@ class ShiftSet:
     """
 
     delta: np.ndarray                                 # (d,)
+    q: Optional[tuple[int, ...]]                      # certificate moduli; None for a raw delta
     eta_coords: np.ndarray                            # (d,) int
     eta: np.ndarray                                   # dual-lattice point
     index_sets: tuple[tuple[tuple[int, ...], ...], ...]  # per cell
@@ -98,9 +99,11 @@ class ShiftSet:
 
 def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
     """Build the shift family and every cell's system for a spacing delta
-    (or a certificate); cell_system, not this, refuses a singular cell."""
+    or a certificate, whose moduli q are kept for vandermonde._phases;
+    cell_system, not this, refuses a singular cell."""
+    q = None
     if isinstance(delta, AdmissibilityCertificate):
-        delta = delta.delta
+        delta, q = delta.delta, delta.q
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (domain.dimension,):
         raise DimensionMismatch(
@@ -111,14 +114,11 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
     if eta is None:
         eta_coords = np.zeros(domain.dimension, dtype=int)
     else:
-        raw = np.asarray(eta)
-        if raw.shape != (domain.dimension,):
+        eta_coords = _integer_array(eta, "eta dual-lattice coordinates")
+        if eta_coords.shape != (domain.dimension,):
             raise DimensionMismatch(
-                f"eta must have shape ({domain.dimension},), got {raw.shape}"
+                f"eta must have shape ({domain.dimension},), got {eta_coords.shape}"
             )
-        if np.any(np.abs(raw - np.rint(raw)) > 1e-9):
-            raise SpecFormatError("eta must be integer dual-lattice coordinates")
-        eta_coords = np.rint(raw).astype(int)
     eta_vec = domain.lattice.dual_basis @ eta_coords
 
     trees = cell_trees(domain)
@@ -132,7 +132,7 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
     for ci, (c, tree, js) in enumerate(zip(domain.cells, trees, index_sets)):
         arr = np.array(js, dtype=float) * delta
         shift_vecs.append((domain.lattice.dual_basis @ arr.T).T + eta_vec)
-        V = np.exp(-2j * np.pi * (arr @ c.offsets.astype(float).T))
+        V = _phases(delta, q, js, c.offsets, f"cell {ci}")
         sigma = np.linalg.svd(V, compute_uv=False)
         dual = None if sigma[-1] < SINGULAR_TOL else domain.k * V.T * np.linalg.inv(V)
         vectors = tree.frequencies.vectors
@@ -142,7 +142,7 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
         blocks: list = []
         walk = dual is not None and sigma[0] / sigma[-1] <= COND_LIMIT
         eye = np.eye(domain.k, domain.k if walk else 0, dtype=complex)
-        solve = _solve_columns(vectors, js, delta, eye, blocks)
+        solve = _solve_columns(vectors, js, delta, q, eye, blocks)
         blocks = tuple(blocks)
         if not (walk and all(kappa <= COND_LIMIT for _, kappa in _conditions(blocks))):
             solve = None
@@ -155,6 +155,7 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
         a.setflags(write=False)
     return ShiftSet(
         delta=delta,
+        q=q,
         eta_coords=eta_coords,
         eta=eta_vec,
         index_sets=tuple(index_sets),
@@ -299,7 +300,7 @@ def _distinct(term: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return order[new], inverse
 
 
-def _piece_table(domain: MultiTileDomain, n, f, weights=None):
+def _piece_table(domain: MultiTileDomain, n, f, regions):
     """Table of piece sums, entry [g, p] for theta = n[g] + f[p],
     yielded as (rows, block) pairs of at most CHUNK entries each (but
     at least one row of the table).
@@ -313,16 +314,15 @@ def _piece_table(domain: MultiTileDomain, n, f, weights=None):
     (B, g, P).
 
     Offsets and n are integers, so the lattice phase exp(2 pi i <z_r,
-    theta>) of every piece depends on f alone and is built once.  Each
-    piece is a box, so its integral is a product of one-axis integrals
-    (exp(tb) - exp(ta)) / t, t = 2 pi i theta_ax, and the one of axis
-    ax depends only on (n_ax, f_ax): it is evaluated once per distinct
-    (table, n_ax) pair and remainder, and every block gathers those
-    factors and multiplies them across axes.
-
-    weights, when given, holds per cell a (k, P) array (batched: (k, B,
-    P)) of complex factors applied to the region terms (the dual
-    modulations).
+    theta>) of every piece depends on f alone: regions holds per cell a
+    (k, P) array (batched: (k, B, P)) of those phases, times any
+    weights (the dual modulations), formed by the caller (by
+    vandermonde._phases where f is a spacing times index differences).
+    Each piece is a box, so its integral is a product of one-axis
+    integrals (exp(tb) - exp(ta)) / t, t = 2 pi i theta_ax, and the
+    one of axis ax depends only on (n_ax, f_ax): it is evaluated once
+    per distinct (table, n_ax) pair and remainder, and every block
+    gathers those factors and multiplies them across axes.
     """
     d = domain.dimension
     f = np.asarray(f, dtype=float)
@@ -331,13 +331,10 @@ def _piece_table(domain: MultiTileDomain, n, f, weights=None):
     n = np.asarray(n, dtype=int)
     n = n.reshape(len(f), n.shape[-2], d)
     batch, rows_total, width = len(f), n.shape[1], f.shape[1]
-    lattice = []
-    for ci, c in enumerate(domain.cells):
-        phases = np.exp(2j * np.pi * (c.offsets.astype(float) @ f.reshape(-1, d).T))
-        phases = phases.reshape(-1, batch, width)  # (k, B, P)
-        if weights is not None:
-            phases *= np.reshape(weights[ci], phases.shape)
-        lattice.append(domain.lattice.volume * phases.sum(axis=0)[:, None, :])
+    lattice = [
+        domain.lattice.volume * np.reshape(r, (-1, batch, width)).sum(axis=0)[:, None, :]
+        for r in regions
+    ]
     # per axis: the table row of every (b, g) entry, and per cell the
     # one-axis integrals of every distinct (b, n_ax) pair and remainder
     term = np.repeat(np.arange(batch), rows_total)
@@ -376,7 +373,8 @@ def gram(domain: MultiTileDomain, l1, l2) -> complex:
     if l1.shape != (domain.dimension,) or l2.shape != (domain.dimension,):
         raise DimensionMismatch("frequencies must be d-vectors")
     theta = domain.lattice.basis.T @ (l1 - l2)
-    _, block = next(_piece_table(domain, np.zeros((1, domain.dimension), dtype=int), theta[None, :]))
+    regions = [np.exp(2j * np.pi * (c.offsets @ theta[:, None])) for c in domain.cells]
+    _, block = next(_piece_table(domain, np.zeros((1, domain.dimension), dtype=int), theta[None, :], regions))
     return complex(block[0, 0])
 
 
@@ -417,13 +415,17 @@ def verify_biorthogonality(
         raise SpecFormatError(f"radius must be nonnegative, got {radius}")
     duals = [cell_system(domain, shifts, ci).dual for ci in range(len(domain.cells))]
     k = domain.k
-    js = np.array(shifts.index_sets[0], dtype=float)
-    # rows p = (s1, s2): remainder delta*(j_s1 - j_s2), weights conj(W[r, s2])
-    f = (shifts.delta * (js[:, None, :] - js[None, :, :])).reshape(k * k, -1)
-    cols = [np.tile(w.conj(), (1, k)) for w in duals]
+    js = np.array(shifts.index_sets[0])
+    # rows p = (s1, s2): remainder delta*(j_s1 - j_s2); its lattice phases
+    # (those of _phases at -jd, for the + sign) times conj(W[r, s2])
+    jd = (js[:, None, :] - js[None, :, :]).reshape(k * k, -1)
+    regions = [
+        _phases(shifts.delta, shifts.q, -jd, c.offsets).T * np.tile(w.conj(), (1, k))
+        for c, w in zip(domain.cells, duals)
+    ]
     ndiff = _label_grid(2 * radius, domain.dimension)
     worst = 0.0
-    for rows, vals in _piece_table(domain, ndiff, f, cols):
+    for rows, vals in _piece_table(domain, ndiff, shifts.delta * jd, regions):
         vals /= domain.measure
         vals[np.flatnonzero(~ndiff[rows].any(axis=1)), ::k + 1] -= 1.0
         worst = max(worst, float(np.max(np.abs(vals))))

@@ -137,14 +137,16 @@ def _is_int(x) -> bool:
 
 def _number_list(raw, d: int, integer: bool, message: str) -> np.ndarray:
     """A JSON list of d finite numbers (64-bit integers when integer is
-    set), as an array; SpecFormatError(message) otherwise."""
+    set), as an array: int64 if all are whole, so no integer loses
+    digits, else float; SpecFormatError(message) otherwise."""
     error = SpecFormatError(message)
     if not (isinstance(raw, list) and len(raw) == d and all(
         _is_int(x) or (not integer and isinstance(x, float)) for x in raw
     )):
         raise error
+    whole = all(_is_int(x) or x.is_integer() and -(2.0**63) <= x < 2.0**63 for x in raw)
     try:
-        vec = np.array(raw, dtype=int if integer else float)
+        vec = np.array(raw, dtype=int if whole else float)
     except OverflowError:
         raise error from None
     if not np.isfinite(vec).all():
@@ -153,7 +155,7 @@ def _number_list(raw, d: int, integer: bool, message: str) -> np.ndarray:
 
 
 def _number_rows(raw, rows: Optional[int], d: int, message: str) -> np.ndarray:
-    """A nonempty JSON list of _number_list rows of d floats (`rows` of
+    """A nonempty JSON list of _number_list rows of d numbers (`rows` of
     them unless None), as an array; SpecFormatError(message) otherwise."""
     if not (isinstance(raw, list) and raw and len(raw) == (rows or len(raw))):
         raise SpecFormatError(message)

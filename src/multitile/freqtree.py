@@ -1,14 +1,16 @@
 """Prefix trees over frequency sets and their shift index sets.
 
-A frequency set is a finite list of points in R^d (integer lattice
-offsets in the main use).  Its tree records, level by level, the
-distinct coordinate prefixes, each prefix's set of child values, and a
-half-open index window per prefix.  Windows are nested by construction:
-prefixes are ordered by ascending child count, window i spans
-[count_{i-1}, count_i), and the union of the first p windows is exactly
-[0, count_p).  The shift index set is built from the windows by a
-recursion on ordered suffix lists of the prefix ordering; it always has
-exactly as many elements as the frequency set.
+A frequency set is a finite list of distinct integer vectors in Z^d
+(lattice offsets in the main use), held as tuples of Python ints, so
+every equality test on prefixes and child values is exact.  Its tree
+records, level by level, the distinct coordinate prefixes, each
+prefix's set of child values, and a half-open index window per prefix.
+Windows are nested by construction: prefixes are ordered by ascending
+child count, window i spans [count_{i-1}, count_i), and the union of
+the first p windows is exactly [0, count_p).  The shift index set is
+built from the windows by a recursion on ordered suffix lists of the
+prefix ordering; it always has exactly as many elements as the
+frequency set.
 """
 
 from __future__ import annotations
@@ -19,47 +21,44 @@ import numpy as np
 
 from .errors import DuplicateOffset, SpecFormatError
 
-GROUP_TOL = 1e-9  # coordinate values closer than this are treated as equal
-
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Finite set of points in R^d with tolerance-canonicalized entries."""
+    """Finite set of distinct integer vectors in Z^d, as int tuples."""
 
     dimension: int
-    vectors: tuple[tuple[float, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.vectors)
 
 
-def make_frequency_set(vectors) -> FrequencySet:
-    """Canonicalize coordinates to tolerance and build a FrequencySet.
+def _integer_array(values, what: str) -> np.ndarray:
+    """values as an int64 array: integer arrays as they are, others when
+    every entry is a whole number within the 64-bit range (so 2.0 is
+    accepted); SpecFormatError naming `what` otherwise."""
+    arr = np.asarray(values)
+    if arr.dtype.kind != "i":
+        arr = arr.astype(float)
+        if not ((arr >= -(2.0**63)) & (arr < 2.0**63)).all():
+            raise SpecFormatError(f"{what} must be finite and within the 64-bit integer range")
+        if np.any(arr != np.rint(arr)):
+            raise SpecFormatError(f"{what} must be integers")
+    return arr.astype(np.int64)
 
-    Values in one coordinate that fall within GROUP_TOL of each other are
-    snapped to a shared representative, so later equality tests on
-    prefixes and child values are exact.
-    """
-    arr = np.asarray(vectors, dtype=float)
+
+def make_frequency_set(vectors) -> FrequencySet:
+    """FrequencySet of a (k, d) array of integer vectors (a (k,) array
+    for d = 1), read by _integer_array; DuplicateOffset when a vector
+    repeats."""
+    arr = _integer_array(vectors, "frequency vectors")
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise SpecFormatError(f"frequency set must be a nonempty (k, d) array, got {arr.shape}")
-    canon = arr.copy()
-    for j in range(arr.shape[1]):
-        col = canon[:, j]
-        order = np.argsort(col, kind="stable")
-        rep = np.nan
-        prev = np.nan
-        for idx in order:
-            v = col[idx]
-            if not np.isfinite(prev) or v - prev > GROUP_TOL:
-                rep = v
-            col[idx] = rep
-            prev = v
-    tuples = tuple(tuple(row) for row in canon)
+    tuples = tuple(map(tuple, arr.tolist()))
     if len(set(tuples)) != len(tuples):
-        raise DuplicateOffset("frequency vectors collide after tolerance grouping")
+        raise DuplicateOffset("frequency set lists a vector twice")
     return FrequencySet(dimension=arr.shape[1], vectors=tuples)
 
 
@@ -76,10 +75,10 @@ class TreeLevel:
     """
 
     level: int
-    parents: tuple[tuple[float, ...], ...]
-    children: tuple[tuple[float, ...], ...]
+    parents: tuple[tuple[int, ...], ...]
+    children: tuple[tuple[int, ...], ...]
     windows: tuple[tuple[int, int], ...]
-    nodes: tuple[tuple[float, ...], ...]
+    nodes: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)

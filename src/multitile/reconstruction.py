@@ -49,7 +49,8 @@ from .expsystem import (
     _require_uniform,
     cell_system,
 )
-from .vandermonde import _solve_columns, _warn_ill_conditioned
+from .freqtree import _integer_array
+from .vandermonde import _phases, _solve_columns, _warn_ill_conditioned
 
 __all__ = [
     "SpectralData",
@@ -154,28 +155,28 @@ def coefficient_data(
     points = np.asarray(points, dtype=float)
     d = domain.dimension
     k = domain.k
-    js = np.array(shifts.index_sets[0], dtype=float)
+    js = np.array(shifts.index_sets[0])
     delta = shifts.delta
     eta = shifts.eta_coords.astype(float)
 
     terms = []
     for (n_src, s_src), c in coeffs.items():
-        n_src = np.asarray(n_src, dtype=float)
-        if n_src.shape != (d,):
+        n = _integer_array(n_src, f"coefficient label {n_src}")
+        if n.shape != (d,):
             raise DimensionMismatch(f"coefficient label {n_src} is not a {d}-vector")
-        if np.any(n_src != np.rint(n_src)):
-            raise SpecFormatError(f"coefficient label {n_src} is not an integer vector")
         if not 1 <= int(s_src) <= k:
             raise SpecFormatError(f"shift position {s_src} outside 1..{k}")
-        terms.append((n_src.astype(int), int(s_src) - 1, complex(c)))
+        terms.append((n, int(s_src) - 1, complex(c)))
 
     # <f, e_(n,s)> over the label grid n, one table row per n: one
     # batched table, block [t] holding term t's inner products
     labels = _label_grid(radius, d)
     n_terms = np.array([n for n, _, _ in terms], dtype=int).reshape(-1, d)
     s_terms = np.array([s for _, s, _ in terms], dtype=int)
+    jd = (js[s_terms, None, :] - js).reshape(-1, d)
+    regions = [_phases(delta, shifts.q, -jd, c.offsets).T for c in domain.cells]
     inner = np.zeros((len(labels), k), dtype=complex)
-    for rows, block in _piece_table(domain, n_terms[:, None, :] - labels, delta * (js[s_terms, None, :] - js)):
+    for rows, block in _piece_table(domain, n_terms[:, None, :] - labels, (delta * jd).reshape(-1, k, d), regions):
         for (_, _, c), part in zip(terms, block):
             inner[rows] += c * part
     # e_(n,s)(x) = exp(2 pi i <u, n>) * exp(2 pi i <u, delta*j_s + eta>)
@@ -284,7 +285,7 @@ def reconstruct_grid(
         ps = cell_system(domain, shifts, ci)
         F = data.values[rows if all_usable else usable[rows]]
         if ps.solve is None:
-            values[rows] = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, F.T / vol, []).T
+            values[rows] = _solve_columns(ps.vectors, shifts.index_sets[ci], shifts.delta, shifts.q, F.T / vol, []).T
             _warn_ill_conditioned(ps.blocks)
         else:
             _product(F, ps.solve.T / vol, values, rows)

@@ -28,12 +28,16 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateNodes, IllConditionedWarning, SingularMatrix
+from .errors import DimensionMismatch, DuplicateNodes, IllConditionedWarning, SingularMatrix, SpecFormatError
 from .freqtree import _group, _k_index
 
 NODE_TOL = 1e-12
 COND_LIMIT = 1e8
 SINGULAR_TOL = 1e-12  # smallest singular value of a solvable block or cell
+# exp(-2 pi i x) formed from a float x is off by about 4e-16 |x|, so a
+# raw spacing may give phase arguments up to 1e-10 / 4e-16 before that
+# error reaches 1e-10, the orthogonality tolerance of expsystem
+PHASE_LIMIT = 2.5e5
 
 
 def _vander_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -101,83 +105,92 @@ def _solve_1d(x: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, sig
 
 
-def _nodes(values, dl: float) -> np.ndarray:
-    return np.exp(-2j * np.pi * dl * np.asarray(values, dtype=float))
+def _phases(delta, q, j, z, what: str = "phases") -> np.ndarray:
+    """exp(-2 pi i <delta*j_a, z_b>) for the rows of an (A, L) integer j
+    and a (B, L) z, as an (A, B) array; every such phase is formed here.
+    Under a certificate's moduli q, z is reduced mod q first, which moves
+    each argument by an integer (delta_l q_l = v_l) and keeps it small;
+    for a raw delta (q None) an argument above PHASE_LIMIT raises
+    SpecFormatError, naming `what`."""
+    z = np.asarray(z)
+    if q is not None:
+        z = z % np.asarray(q)
+    arg = (np.asarray(j, dtype=float) * delta) @ z.T
+    if q is None and np.abs(arg).max(initial=0.0) > PHASE_LIMIT:
+        raise SpecFormatError(
+            f"{what}: the raw spacing delta = {list(map(float, delta))} gives phase arguments "
+            f"up to {np.abs(arg).max():.3e}, above {PHASE_LIMIT:.1e}; give it as v/q"
+        )
+    return np.exp(-2j * np.pi * arg)
 
 
-def _nested(vectors, index, data: np.ndarray, delta, blocks: list) -> np.ndarray:
+def _nested(vectors, index, data: np.ndarray, delta, q, blocks: list) -> np.ndarray:
     """One walk of the recursion on (k, N) data columns whose rows
     follow index, the shift index set of vectors (_k_index order); data
-    may be overwritten.  Returns the (k, N) values in vectors order and
-    appends the (level, sigma_min, sigma_max) of every 1D block, in
-    solve order, to blocks.
+    may be overwritten; delta and q go to _phases.  Returns the (k, N)
+    values in vectors order and appends the (level, sigma_min,
+    sigma_max) of every 1D block, in solve order, to blocks.
 
     Parents are processed in ascending child-count order.  _k_index
     lays out parent p's window as one run of rows, suffix index major
     and window index minor, so the suffix system is one slab: after
-    subtracting the explicitly evaluated contributions of the finished
-    parents, it is solved once for all W window indices as W*N columns.
-    The parent's own values then come from one square 1D solve over its
-    accumulated window indices.
+    subtracting the finished parents' contributions, one product of
+    their phases at the slab's indices with their values, it is solved
+    once for all W window indices as W*N columns.  The parent's own
+    values then come from one square 1D solve over its accumulated
+    window indices.
     """
     level = len(delta)
     if level == 1:
-        values, sig = _solve_1d(_nodes([v[0] for v in vectors], delta[0]), data)
+        values, sig = _solve_1d(_phases(delta, q, [(1,)], vectors)[0], data)
         blocks.append((1, sig[-1], sig[0]))
         return values
 
     parents, children, counts, windows = _group(vectors)
-    dl = delta[-1]
+    head, last = (None, None) if q is None else (q[:-1], q[-1:])
     cols = data.shape[1]
     position = {v: i for i, v in enumerate(vectors)}
     values = np.empty((len(vectors), cols), dtype=complex)
     # per parent: its suffix values by last-level index
     gather = [np.empty((c, cols), dtype=complex) for c in counts]
-    solved = []  # per finished parent: its values, children order
+    finished = []  # the vectors of the finished parents, in solve order
+    solved = []  # their values, rows in the same order
     start = 0
     for p, (lo, hi) in enumerate(windows):
         width = hi - lo
         if width:
             m = len(parents) - p
             stop = start + m * width
-            suffix_index = [j[:-1] for j in index[start:stop:width]]
-            slab = data[start:stop].reshape(m, width, cols)
+            rows = index[start:stop]
+            slab = data[start:stop]
             start = stop
             if p:
-                # the finished parents' last-level sums at every window
-                # index, times their phases at every suffix index; every
-                # entry is rounded as it would be for one index alone
-                jj = np.array(suffix_index)
-                arg = 0
-                for t in range(level - 1):
-                    arg = arg + delta[t] * jj[:, t, None] * np.array([q[t] for q in parents[:p]])
-                phase = np.exp(-2j * np.pi * arg)
-                j_last = np.arange(lo, hi)[:, None]
-                for qq in range(p):
-                    e = np.exp(-2j * np.pi * dl * j_last * np.array(children[qq]))
-                    evaluated = sum(e[:, t, None] * solved[qq][t] for t in range(len(children[qq])))
-                    slab = slab - phase[:, qq, None, None] * evaluated
-            sub = _nested(parents[p:], suffix_index, slab.reshape(m, width * cols), delta[:-1], blocks)
+                slab = slab - _phases(delta, q, rows, finished) @ np.concatenate(solved)
+            sub = _nested(
+                parents[p:], [j[:-1] for j in rows[::width]], slab.reshape(m, width * cols),
+                delta[:-1], head, blocks,
+            )
             sub = sub.reshape(m, width, cols)
             for qq in range(p, len(parents)):
                 gather[qq][lo:hi] = sub[qq - p]
-        own, sig = _solve_1d(_nodes(children[p], dl), gather[p])
+        own, sig = _solve_1d(_phases(delta[-1:], last, [(1,)], [(z,) for z in children[p]])[0], gather[p])
         blocks.append((level, sig[-1], sig[0]))
+        finished.extend(parents[p] + (z,) for z in children[p])
         solved.append(own)
         for z, row in zip(children[p], own):
             values[position[parents[p] + (z,)]] = row
     return values
 
 
-def _solve_columns(vectors, order, delta, rhs, blocks: list) -> np.ndarray:
+def _solve_columns(vectors, order, delta, q, rhs, blocks: list) -> np.ndarray:
     """Nested solve of V y = rhs for a (k, N) matrix of data columns
     whose rows follow order, any ordering of the shift index set of
-    vectors; returns (k, N) values in frequency-vector order and appends
-    the walk's blocks to blocks.  On the k unit vectors this is the
-    cell's whole solve matrix."""
+    vectors, at spacing delta with moduli q (None if raw); returns (k,
+    N) values in frequency-vector order and appends the walk's blocks
+    to blocks.  On the k unit vectors this is the cell's solve matrix."""
     index = _k_index(vectors)
     row = {j: i for i, j in enumerate(order)}
-    return _nested(vectors, index, rhs[[row[j] for j in index]], tuple(np.asarray(delta, dtype=float)), blocks)
+    return _nested(vectors, index, rhs[[row[j] for j in index]], tuple(np.asarray(delta, dtype=float)), q, blocks)
 
 
 def _warn_ill_conditioned(blocks) -> None:
@@ -222,7 +235,7 @@ def nested_solve(vectors, data, delta) -> dict:
     columns = np.array([data[j] for j in index], dtype=complex)
     scalar = columns.ndim == 1
     blocks: list = []
-    values = _nested(vectors, index, columns[:, None] if scalar else columns, delta, blocks)
+    values = _nested(vectors, index, columns[:, None] if scalar else columns, delta, None, blocks)
     for level, lo, _ in blocks:
         if lo < SINGULAR_TOL:
             raise SingularMatrix(f"level {level} Vandermonde block is singular (sigma_min={lo:.3e})")
@@ -248,5 +261,5 @@ def block_conditions(vectors, delta) -> list[tuple[int, float]]:
     """(level, condition number) for every block the recursion solves,
     from one walk on zero data columns."""
     blocks: list = []
-    _nested(vectors, _k_index(vectors), np.empty((len(vectors), 0), dtype=complex), tuple(delta), blocks)
+    _nested(vectors, _k_index(vectors), np.empty((len(vectors), 0), dtype=complex), tuple(delta), None, blocks)
     return _conditions(blocks)

@@ -202,11 +202,12 @@ def nested_blocks_reference(vectors, delta) -> list[tuple[int, np.ndarray]]:
     ascending child count, ties lexicographic; parent p's window is
     [count_{p-1}, count_p).  A parent with a nonempty window first
     solves the suffix system of parents p.. (its blocks, recursively),
-    then its own block on its children at the last level."""
+    then its own block on its children at the last level.  Nodes are
+    exp(-2 pi i x) of the product x = delta_l * z, rounded once."""
     delta = tuple(delta)
     level = len(delta)
     if level == 1:
-        return [(1, np.exp(-2j * np.pi * delta[0] * np.array([v[0] for v in vectors], dtype=float)))]
+        return [(1, np.exp(-2j * np.pi * (delta[0] * np.array([v[0] for v in vectors], dtype=float))))]
     buckets: dict = {}
     for v in vectors:
         buckets.setdefault(tuple(v[:-1]), []).append(v[-1])
@@ -218,7 +219,7 @@ def nested_blocks_reference(vectors, delta) -> list[tuple[int, np.ndarray]]:
         if len(children) > prev:
             out.extend(nested_blocks_reference(parents[p:], delta[:-1]))
         prev = len(children)
-        out.append((level, np.exp(-2j * np.pi * delta[-1] * np.array(children, dtype=float))))
+        out.append((level, np.exp(-2j * np.pi * (delta[-1] * np.array(children, dtype=float)))))
     return out
 
 
@@ -240,7 +241,7 @@ def _residue(value: float, q: int) -> float:
     r = math.fmod(value, q)
     if r < 0.0:
         r += q
-    return r
+    return r + 0.0  # folds -0.0, which messages would print as "-0"
 
 
 def _circular_distinct(residues, q: int):

@@ -111,10 +111,12 @@ def test_admissibility_is_offset_property():
 
 
 def _outcome(fn, *args):
-    """repr of a result, or the NoPairFound message, for exact comparison
-    (repr also tells 0.0 from -0.0 in residues)."""
+    """A result, or the NoPairFound message, for comparison with ==:
+    verdicts, messages, pairs and residues compare exactly, and the
+    package's int residues equal the reference's float ones (0 == 0.0,
+    0 != 1e-12)."""
     try:
-        return repr(fn(*args))
+        return fn(*args)
     except NoPairFound as exc:
         return f"NoPairFound: {exc}"
 

@@ -1,12 +1,14 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from multitile import (
     DimensionMismatch,
     MultiTileDomain,
+    NoPairFound,
     NonUniformShifts,
     OutOfDomain,
     PointOnGap,
@@ -35,7 +37,7 @@ from multitile import (
 )
 from multitile import expsystem
 from multitile.expsystem import _piece_table
-from multitile.vandermonde import COND_LIMIT
+from multitile.vandermonde import COND_LIMIT, PHASE_LIMIT
 
 from builders import ALL, PERFECT, domain_of, mixed_2tile_2d, nested_values, tilings
 from oracles import block_sigmas_reference, cell_system_reference, gram_quadrature, piece_sum_reference
@@ -305,7 +307,12 @@ REMAINDER = st.one_of(
 
 
 def _table(dom, n, f, weights=None):
-    return np.concatenate([block for _, block in _piece_table(dom, n, f, weights)])
+    """The piece table with the lattice phases of the remainders f,
+    times the weights when given, as its region factors."""
+    regions = [np.exp(2j * np.pi * (c.offsets @ f.T)) for c in dom.cells]
+    if weights is not None:
+        regions = [r * w for r, w in zip(regions, weights)]
+    return np.concatenate([block for _, block in _piece_table(dom, n, f, regions)])
 
 
 def _close(got, ref, bound):
@@ -517,3 +524,45 @@ def test_dual_eval_batch_matches_per_point_formula():
                 ps = cell_system(dom, sh, cell_index_at(dom, u))
                 want = dom.k * ps.V[s - 1, r - 1] * np.linalg.inv(ps.V)[r - 1, s - 1]
                 assert abs(g - want * np.exp(2j * np.pi * float(l @ y))) <= 1e-12, name
+
+
+@given(st.data())
+def test_large_offsets_match_exact_residues(data):
+    """Single-cell domains in d = 1, 2 with up to four offsets as large
+    as 2^62, at the certificate find_pair takes: every entry of V is
+    exp(-2 pi i r / Q) for the residue r = sum_l v_l j_l z_l Q/q_l mod
+    Q, Q = lcm(q), computed with Python ints; sigma_min is that
+    matrix's, and the dual family is biorthogonal."""
+    d = data.draw(st.integers(1, 2))
+    big = st.integers(-(2**62), 2**62)
+    offsets = data.draw(st.lists(st.tuples(*[big] * d), min_size=1, max_size=4, unique=True))
+    dom = domain_of(np.eye(d), [([[0, 1]] * d, offsets)])
+    try:
+        cert = find_pair(dom)
+    except NoPairFound:
+        reject()
+    sh = make_shifts(dom, cert)
+    Q = math.lcm(*cert.q)
+    scale = [v * (Q // q) for v, q in zip(cert.v, cert.q)]
+    residues = np.array([
+        [sum(a * j_l * z_l for a, j_l, z_l in zip(scale, j, z)) % Q for z in dom.cells[0].offsets.tolist()]
+        for j in sh.index_sets[0]
+    ])
+    exact = np.exp(-2j * np.pi * (residues / Q))
+    assert np.abs(sh.systems[0].V - exact).max() <= 1e-14
+    sigma_min = np.linalg.svd(exact, compute_uv=False)[-1]
+    assert abs(riesz_bounds(dom, sh).cells[0].sigma_min - sigma_min) <= 1e-12
+    assert verify_biorthogonality(dom, sh, radius=1) <= 1e-10
+
+
+def test_raw_spacing_phase_limit():
+    """A raw spacing is refused, naming the cell, once some <delta*j, z>
+    exceeds PHASE_LIMIT; the same offsets under a certificate are exact."""
+    dom = domain_of([[1.0]], [([[0, 1]], [[0], [10**18]])])
+    with pytest.raises(SpecFormatError, match=r"cell 0: the raw spacing .* 3\.333e\+17"):
+        make_shifts(dom, np.array([1 / 3]))
+    near = domain_of([[1.0]], [([[0, 1]], [[0], [int(PHASE_LIMIT)]])])
+    make_shifts(near, np.array([1.0]))
+    with pytest.raises(SpecFormatError, match="cell 0"):
+        make_shifts(near, np.array([1.0 + 1e-9]))
+    assert riesz_bounds(dom, make_shifts(dom, find_pair(dom))).cells[0].sigma_min == pytest.approx(1.0, abs=1e-12)

@@ -625,6 +625,55 @@ def test_error_classes_define_exit_codes():
         assert exit_code(exc) == code, exc
 
 
+def _two_offset_domain(tmp_path, z: int) -> str:
+    """A 1D domain file on offsets 0 and z, written as JSON integers."""
+    path = tmp_path / f"offsets_{z}.json"
+    path.write_text(
+        '{"cells":[{"box":[[0,1]],"offsets":[[0],[%d]]}],"dimension":1,"lattice_basis":[[1]]}' % z
+    )
+    return str(path)
+
+
+def test_cli_offsets_past_2_53_are_exact(tmp_path):
+    """10^18 + 1 is read as itself, not as the float 10^18: it is odd,
+    so q = 2 is perfect and found, and sigma_min is sqrt 2.  10^18 is 1
+    mod 3, so at the certified q = 3 sigma_min is 1 exactly."""
+    odd = _two_offset_domain(tmp_path, 10**18 + 1)
+    out = run_cli("check", "--domain", odd, "--q", "2")
+    assert out.returncode == 0 and "kind=perfect" in out.stdout, out.stderr
+    out = run_cli("check", "--domain", odd)
+    assert out.returncode == 0 and "v = (1)\nq = (2)\n" in out.stdout, out.stderr
+    # a whole-number float in another row does not turn the column to floats
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(Path(odd).read_text().replace("[0]", "[2.0]"))
+    out = run_cli("check", "--domain", str(mixed), "--q", "2")
+    assert out.returncode == 0 and "kind=perfect" in out.stdout, out.stderr
+    bounds = tmp_path / "b.json"
+    for z, want in ((10**18 + 1, np.sqrt(2.0)), (10**18, 1.0)):
+        out = run_cli("bounds", "--domain", _two_offset_domain(tmp_path, z), "--out", str(bounds))
+        assert out.returncode == 0, out.stderr
+        assert abs(json.loads(bounds.read_text())["cells"][0]["sigma_min"] - want) <= 1e-12
+    report = tmp_path / "v.json"
+    out = run_cli("verify", "--domain", _two_offset_domain(tmp_path, 100001), "--radius", "2", "--out", str(report))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(report.read_text())["orthogonality_deviation"] <= 1e-15
+
+
+def test_cli_raw_spacing_over_phase_limit_exit_1(tmp_path):
+    """A sidecar spacing with no v and q is refused, exit code 1, when
+    its phases on the domain's offsets cannot be formed accurately."""
+    domain = _two_offset_domain(tmp_path, 10**18)
+    samples = tmp_path / "s.csv"
+    assert run_cli("synthesize", "--domain", domain, "--grid", "4", "--out", str(samples)).returncode == 0
+    meta_path = tmp_path / "s.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.update(delta=[1 / 3], v=None, q=None)
+    meta_path.write_text(json.dumps(meta))
+    out = run_cli("reconstruct", "--domain", domain, "--samples", str(samples), "--out", str(tmp_path / "r.csv"))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: cell 0: the raw spacing delta = [0.3333333333333333]")
+
+
 def test_cli_check_inadmissible_exit_2():
     """Run as a real `python -m multitile.cli` process, the one test of
     the module entry point and of its exit status."""

@@ -4,6 +4,7 @@ from hypothesis import given
 
 from multitile import (
     DuplicateOffset,
+    SpecFormatError,
     build_tree,
     make_frequency_set,
     shift_index_set,
@@ -96,12 +97,15 @@ def test_two_column_pair():
 
 
 def test_grouping_tolerance():
-    # coordinates closer than 1e-9 collapse to one node
-    fs = make_frequency_set(np.array([[0.0], [1.0 + 2e-10]]))
-    tree = build_tree(fs)
-    assert tree.level_sizes == (2,)
+    # there is none: a coordinate off a whole number is refused, equal
+    # whole-number floats are one vector, and floats become int tuples
+    with pytest.raises(SpecFormatError, match="must be integers"):
+        make_frequency_set(np.array([[0.0], [1.0 + 2e-10]]))
     with pytest.raises(DuplicateOffset):
-        make_frequency_set(np.array([[1.0], [1.0 + 1e-12]]))
+        make_frequency_set(np.array([[1.0], [1.0]]))
+    fs = make_frequency_set(np.array([[2.0, -3.0], [0.0, 2.0**62]]))
+    assert fs.vectors == ((2, -3), (0, 2**62))
+    assert all(type(x) is int for v in fs.vectors for x in v)
 
 
 def test_single_vector():

@@ -122,7 +122,7 @@ def test_ill_conditioned_blocks_within_10x_dense_lu():
         for _ in range(2):
             x_int = np.sort(rng.choice(40, size=k, replace=False))
             for dl in np.geomspace(1e-6, 0.1, 40):
-                x = vandermonde._nodes(x_int, dl)
+                x = vandermonde._phases((dl,), None, [(1,)], x_int[:, None])[0]
                 vander = vandermonde._vander_matrix(x)
                 sig = np.linalg.svd(vander, compute_uv=False)
                 if not vandermonde.COND_LIMIT < sig[0] / sig[-1] <= 1e12:

@@ -1,11 +1,17 @@
-"""Command line front end.
+"""Command line front end: wiring only, since ``formats`` reads and
+checks every input file, the sample sidecar included.
 
-Exit codes: 0 success; 1 malformed or unreadable input, that is an
-``errors.InputError`` (SpecFormatError, SingularBasis, DimensionMismatch,
-NotATiling, InconsistentK, DuplicateOffset, OutOfDomain) or an OSError;
-2 mathematical failure, that is an ``errors.MathError`` (NoPairFound,
+Exit codes, mapped once by the command group: 0 success; 1 a usage
+error (a bad value, an unknown option or command, a missing option), or
+malformed or unreadable input, that is an ``errors.InputError``
+(SpecFormatError, SingularBasis, DimensionMismatch, NotATiling,
+InconsistentK, DuplicateOffset, OutOfDomain) or an OSError; 2
+mathematical failure, that is an ``errors.MathError`` (NoPairFound,
 ResidueCollision, NonUniformShifts, SingularCell, SingularMatrix,
 DuplicateNodes, PointOnGap); 3 unexpected internal error.
+
+A ShiftSet comes from --v/--q (--q alone means v is all ones), else a
+sample sidecar's v and q, else its delta, else find_pair.
 
 ``check --out`` and ``bounds --out`` write the result records
 (AdmissibilityCertificate, RieszBounds) as canonical JSON, so their keys
@@ -15,7 +21,6 @@ are the records' field names.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import sys
 
 import click
@@ -29,7 +34,6 @@ from .admissibility import (
 from .domain import MultiTileDomain, _cell_rows, _region_points, _unowned, sample_grid
 from .errors import InputError, MathError, ResidueCollision, SpecFormatError
 from .expsystem import (
-    ShiftSet,
     dual_eval,
     frequency_vector,
     is_orthogonal,
@@ -38,9 +42,7 @@ from .expsystem import (
     verify_biorthogonality,
 )
 from .formats import (
-    _is_int,
     _load_coeffs,
-    _number_list,
     atomic_write_text,
     canonical_json,
     load_domain,
@@ -62,28 +64,6 @@ from .reconstruction import (
 WORK_BUDGET = 10**6
 
 
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (InputError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except MathError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (SystemExit, KeyboardInterrupt, click.exceptions.Abort):
-            raise
-        except click.ClickException:
-            raise
-        except Exception as exc:  # anything else is a bug, not bad input
-            click.echo(f"internal error: {exc!r}", err=True)
-            sys.exit(3)
-
-    return wrapper
-
-
 def _parse_int_vector(text: str, d: int, name: str) -> np.ndarray:
     try:
         vec = np.array([int(part) for part in text.split(",")], dtype=int)
@@ -94,96 +74,74 @@ def _parse_int_vector(text: str, d: int, name: str) -> np.ndarray:
     return vec
 
 
-def domain_option(fn):
-    return click.option(
-        "--domain",
-        "domain_path",
-        required=True,
-        type=click.Path(),
-        help="Domain JSON file.",
-    )(fn)
+domain_option = click.option(
+    "--domain", "domain_path", required=True, type=click.Path(), help="Domain JSON file."
+)
+
+
+def certificate_options(fn):
+    fn = click.option("--q", "q_text", help="Per-axis moduli, comma-separated positive integers.")(fn)
+    return click.option("--v", "v_text", help="Per-axis direction integers, comma-separated.")(fn)
 
 
 def shift_options(fn):
-    for args, kwargs in (
-        (("--eta", "eta_text"), {"default": None, "help": "Dual-lattice coordinates of the common translation, comma-separated integers."}),
-        (("--q", "q_text"), {"default": None, "help": "Per-axis moduli, comma-separated positive integers."}),
-        (("--v", "v_text"), {"default": None, "help": "Per-axis direction integers, comma-separated."}),
-    ):
-        fn = click.option(*args, **kwargs)(fn)
-    return fn
+    fn = click.option("--eta", "eta_text",
+                      help="Dual-lattice coordinates of the common translation, comma-separated integers.")(fn)
+    return certificate_options(fn)
 
 
-def _resolve_certificate(domain: MultiTileDomain, v_text, q_text):
-    """Certificate from flags, or by search when both are omitted.
-
-    --q without --v means v = all ones; --v alone is an error since
-    there is no canonical modulus to pair it with.
-    """
-    d = domain.dimension
+def _flag_vectors(domain: MultiTileDomain, v_text, q_text):
+    """The --v and --q flags as integer vectors, None where omitted; --v
+    alone is an error since there is no canonical modulus to pair it
+    with."""
     if v_text is not None and q_text is None:
         raise SpecFormatError("--v needs --q")
-    if q_text is None:
-        cert = find_pair(domain)
-        return cert, "searched"
-    if v_text is None:
-        v_text = ",".join(["1"] * d)
-    v = _parse_int_vector(v_text, d, "--v")
-    q = _parse_int_vector(q_text, d, "--q")
+    d = domain.dimension
+    return tuple(None if text is None else _parse_int_vector(text, d, name)
+                 for text, name in ((v_text, "--v"), (q_text, "--q")))
+
+
+def _resolve_certificate(domain: MultiTileDomain, v, q):
+    """Certificate for integer vectors v and q (v all ones when None),
+    or by search when q is None."""
+    if q is None:
+        return find_pair(domain), "searched"
+    if v is None:
+        v = np.ones(domain.dimension, dtype=int)
     result = check_admissible(domain, v, q)
     if isinstance(result, AdmissibilityFailure):
         raise ResidueCollision(result.message)
     return result, "given"
 
 
-def _sidecar_vector(meta: dict, key: str, d: int, integer: bool = False) -> np.ndarray:
-    kind = "integers" if integer else "finite numbers"
-    return _number_list(meta[key], d, integer, f"sample sidecar {key} must be a list of {d} {kind}")
-
-
 def _resolve_shifts(domain, v_text, q_text, eta_text, meta=None):
-    """ShiftSet from flags, falling back to a sample sidecar."""
-    d = domain.dimension
-    eta = None
-    if eta_text is not None:
-        eta = _parse_int_vector(eta_text, d, "--eta")
-    elif meta is not None and meta.get("eta") is not None:
-        eta = _sidecar_vector(meta, "eta", d)
-
-    if v_text is None and q_text is None and meta is not None:
-        has_vq = meta.get("v") is not None and meta.get("q") is not None
-        if has_vq:
-            v_text = ",".join(map(str, _sidecar_vector(meta, "v", d, integer=True)))
-            q_text = ",".join(map(str, _sidecar_vector(meta, "q", d, integer=True)))
-        elif meta.get("delta") is not None:
-            return make_shifts(domain, _sidecar_vector(meta, "delta", d), eta), None
-    cert, _ = _resolve_certificate(domain, v_text, q_text)
-    return make_shifts(domain, cert, eta), cert
-
-
-def _check_sidecar_indices(shifts: ShiftSet, meta) -> None:
-    if meta is None or meta.get("index_sets") is None:
-        return
-    stored = meta["index_sets"]
-    if not isinstance(stored, list) or not all(
-        isinstance(idx, list)
-        and all(isinstance(j, list) and all(_is_int(x) for x in j) for j in idx)
-        for idx in stored
-    ):
-        raise SpecFormatError(
-            "sample sidecar index_sets must be a list of per-cell lists "
-            "of integer index vectors"
-        )
-    built = [tuple(idx) for idx in shifts.index_sets]
-    if [tuple(tuple(j) for j in idx) for idx in stored] != built:
+    """ShiftSet from flags, falling back to a sample sidecar that
+    formats.read_samples has checked; the sidecar's index sets, if any,
+    must be the ones built."""
+    meta = meta or {}
+    eta = meta.get("eta") if eta_text is None else _parse_int_vector(eta_text, domain.dimension, "--eta")
+    v, q = _flag_vectors(domain, v_text, q_text)
+    if q is None and meta.get("v") is not None and meta.get("q") is not None:
+        v, q = meta["v"], meta["q"]
+    if q is None and meta.get("delta") is not None:
+        shifts, cert = make_shifts(domain, meta["delta"], eta), None
+    else:
+        cert, _ = _resolve_certificate(domain, v, q)
+        shifts = make_shifts(domain, cert, eta)
+    stored = meta.get("index_sets")
+    if stored is not None and stored != [[list(j) for j in idx] for idx in shifts.index_sets]:
         raise SpecFormatError(
             "sample sidecar index sets do not match the domain; "
             "the samples were built against a different domain file"
         )
+    return shifts, cert
 
 
 def _check_grid_budget(domain: MultiTileDomain, grid_n: int) -> int:
-    """The sample-row count of a --grid; SpecFormatError over budget."""
+    """The sample-row count of a --grid; SpecFormatError unless the grid
+    is positive and the count within budget."""
+    if grid_n < 1:
+        raise SpecFormatError(f"--grid must be positive, got {grid_n}")
     rows = grid_n**domain.dimension * len(domain.cells)
     if rows > WORK_BUDGET:
         raise SpecFormatError(
@@ -232,12 +190,38 @@ def _vec_str(vec) -> str:
 
 
 def _num_str(x) -> str:
-    if float(x) == int(x):
+    if float(x).is_integer():  # integers exactly: 10**18 + 1 is not 1e+18
         return str(int(x))
     return repr(float(x))
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; it alone maps errors to exit codes."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+        except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
+            raise
+        except (InputError, OSError, MathError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2 if isinstance(exc, MathError) else 1)
+        except Exception as exc:  # anything else is a bug, not bad input
+            click.echo(f"internal error: {exc!r}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Exponential bases on multi-tiling domains: admissibility checks,
     dual generators, Riesz bounds, synthetic data and reconstruction."""
@@ -245,13 +229,12 @@ def main():
 
 @main.command("check")
 @domain_option
-@shift_options
+@certificate_options
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Write the certificate as JSON.")
-@_guard
-def cmd_check(domain_path, v_text, q_text, eta_text, out_path):
+def cmd_check(domain_path, v_text, q_text, out_path):
     """Check or search for an admissible direction/modulus pair."""
     domain = load_domain(domain_path)
-    cert, how = _resolve_certificate(domain, v_text, q_text)
+    cert, how = _resolve_certificate(domain, *_flag_vectors(domain, v_text, q_text))
     click.echo(f"admissible ({how}): kind={cert.kind}")
     click.echo(f"v = {_vec_str(cert.v)}")
     click.echo(f"q = {_vec_str(cert.q)}")
@@ -264,7 +247,6 @@ def cmd_check(domain_path, v_text, q_text, eta_text, out_path):
 @domain_option
 @shift_options
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Write the shift set as JSON.")
-@_guard
 def cmd_shifts(domain_path, v_text, q_text, eta_text, out_path):
     """Print the shift index sets and realized shift vectors."""
     domain = load_domain(domain_path)
@@ -296,7 +278,6 @@ def cmd_shifts(domain_path, v_text, q_text, eta_text, out_path):
 @click.option("--s", "s_pos", default=1, type=int, help="Shift position, 1-based.")
 @click.option("--grid", "grid_n", default=16, type=int, help="Midpoint grid resolution per axis.")
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Write sampled values as CSV.")
-@_guard
 def cmd_dual(domain_path, v_text, q_text, eta_text, n_text, s_pos, grid_n, out_path):
     """Evaluate one dual generator on a grid over the domain."""
     domain = load_domain(domain_path)
@@ -305,8 +286,6 @@ def cmd_dual(domain_path, v_text, q_text, eta_text, n_text, s_pos, grid_n, out_p
     n = np.zeros(d, dtype=int) if n_text is None else _parse_int_vector(n_text, d, "--n")
     if not 1 <= s_pos <= domain.k:
         raise SpecFormatError(f"--s must lie in 1..{domain.k}, got {s_pos}")
-    if grid_n < 1:
-        raise SpecFormatError(f"--grid must be positive, got {grid_n}")
     _check_grid_budget(domain, grid_n)
     label = frequency_vector(domain, shifts, n, s_pos)
     click.echo(f"label = {_vec_str(label)}")
@@ -333,7 +312,6 @@ def cmd_dual(domain_path, v_text, q_text, eta_text, n_text, s_pos, grid_n, out_p
 @shift_options
 @click.option("--radius", default=4, type=int, help="Dual-lattice truncation radius for the residual scan.")
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Write the report as JSON.")
-@_guard
 def cmd_verify(domain_path, v_text, q_text, eta_text, radius, out_path):
     """Report the worst pairing residual between the basis and its dual."""
     domain = load_domain(domain_path)
@@ -364,7 +342,6 @@ def cmd_verify(domain_path, v_text, q_text, eta_text, radius, out_path):
 @domain_option
 @shift_options
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Write bounds as JSON.")
-@_guard
 def cmd_bounds(domain_path, v_text, q_text, eta_text, out_path):
     """Print Riesz bounds for the shifted exponential system."""
     domain = load_domain(domain_path)
@@ -392,17 +369,14 @@ def cmd_bounds(domain_path, v_text, q_text, eta_text, out_path):
 @click.option("--function", "function_spec", default="random",
               help="'random' or a JSON file of exponential coefficients.")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output CSV path.")
-@_guard
 def cmd_synthesize(domain_path, v_text, q_text, eta_text, grid_n, seed, mode,
                    radius, function_spec, out_path):
     """Generate sample data for a known function on a midpoint grid."""
     domain = load_domain(domain_path)
     shifts, cert = _resolve_shifts(domain, v_text, q_text, eta_text)
-    if grid_n < 1:
-        raise SpecFormatError(f"--grid must be positive, got {grid_n}")
+    rows = _check_grid_budget(domain, grid_n)
     if seed < 0:
         raise SpecFormatError(f"--seed must be nonnegative, got {seed}")
-    rows = _check_grid_budget(domain, grid_n)
     k = domain.k
 
     coeffs = None
@@ -452,13 +426,11 @@ def cmd_synthesize(domain_path, v_text, q_text, eta_text, grid_n, seed, mode,
 @click.option("--samples", "samples_path", required=True, type=click.Path(), help="Sample CSV produced by synthesize.")
 @click.option("--oracle", is_flag=True, help="Cross-check every solve against a dense solver.")
 @click.option("--out", "out_path", default=None, type=click.Path(), help="Output CSV of reconstructed values.")
-@_guard
 def cmd_reconstruct(domain_path, v_text, q_text, eta_text, samples_path, oracle, out_path):
     """Reconstruct region values from sample data."""
     domain = load_domain(domain_path)
     data, meta = read_samples(samples_path, domain)
     shifts, _ = _resolve_shifts(domain, v_text, q_text, eta_text, meta=meta)
-    _check_sidecar_indices(shifts, meta)
     result = reconstruct_grid(domain, shifts, data, oracle=oracle)
     if len(result.skipped) == len(data.cell_ids) > 0:
         raise SpecFormatError(

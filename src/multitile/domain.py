@@ -116,12 +116,13 @@ def validate_cells(cells) -> int:
     if abs(total - 1.0) > COVER_TOL:
         raise NotATiling(f"cell boxes cover volume {total:.12f}, expected 1")
 
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            lo = np.maximum(cells[i].box[:, 0], cells[j].box[:, 0])
-            hi = np.minimum(cells[i].box[:, 1], cells[j].box[:, 1])
-            if np.all(hi - lo > BOX_TOL):
-                raise NotATiling(f"cell boxes {i} and {j} overlap")
+    boxes = np.array([c.box for c in cells])
+    for i in range(len(cells) - 1):
+        lo = np.maximum(boxes[i, :, 0], boxes[i + 1:, :, 0])
+        hi = np.minimum(boxes[i, :, 1], boxes[i + 1:, :, 1])
+        (hits,) = np.nonzero(np.all(hi - lo > BOX_TOL, axis=1))
+        if len(hits):
+            raise NotATiling(f"cell boxes {i} and {i + 1 + hits[0]} overlap")
     return k
 
 

@@ -148,7 +148,8 @@ def _number_list(raw, d: int, integer: bool, message: str) -> np.ndarray:
     try:
         vec = np.array(raw, dtype=int if whole else float)
     except OverflowError:
-        raise error from None
+        big = next(x for x in raw if _is_int(x) and not -(2**63) <= x < 2**63)
+        raise SpecFormatError(f"{message}: {big} is outside the 64-bit integer range") from None
     if not np.isfinite(vec).all():
         raise error
     return vec
@@ -243,6 +244,31 @@ def _csv_header(header: Sequence[str]) -> str:
     return ",".join(header) + "\r\n"
 
 
+def _sample_header(d: int, k: int) -> list[str]:
+    return (
+        ["cell"]
+        + [f"u_{i + 1}" for i in range(d)]
+        + [part for s in range(k) for part in (f"Re_F_{s}", f"Im_F_{s}")]
+    )
+
+
+def _check_sidecar(meta: dict, d: int) -> None:
+    """SpecFormatError naming the first malformed shift field of a sample
+    sidecar; absent and null fields pass."""
+    for key, integer in (("eta", False), ("v", True), ("q", True), ("delta", False)):
+        if meta.get(key) is not None:
+            kind = "integers" if integer else "finite numbers"
+            _number_list(meta[key], d, integer, f"sample sidecar {key} must be a list of {d} {kind}")
+    stored = meta.get("index_sets")
+    if stored is not None and not (isinstance(stored, list) and all(
+        isinstance(idx, list) and all(isinstance(j, list) and all(map(_is_int, j)) for j in idx)
+        for idx in stored
+    )):
+        raise SpecFormatError(
+            "sample sidecar index_sets must be a list of per-cell lists of integer index vectors"
+        )
+
+
 def write_samples(
     path: str,
     domain: MultiTileDomain,
@@ -253,11 +279,7 @@ def write_samples(
     """Write a sample CSV plus its .meta.json sidecar."""
     d = domain.dimension
     k = domain.k
-    header = (
-        ["cell"]
-        + [f"u_{i + 1}" for i in range(d)]
-        + [part for s in range(k) for part in (f"Re_F_{s}", f"Im_F_{s}")]
-    )
+    header = _sample_header(d, k)
     values = np.ascontiguousarray(data.values, dtype=complex).view(float)
     table = _finite_table(np.concatenate([data.points, values], axis=1))
     row_format = "%d" + ",%.17g" * table.shape[1] + "\r\n"
@@ -282,6 +304,9 @@ def write_samples(
 def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Optional[dict]]:
     """Read a sample CSV; returns the data and the sidecar if present.
 
+    The header must name write_samples' columns; the sidecar's shift
+    fields are checked where present, and it is returned as read.
+
     The body is parsed in chunks of at most CHUNK_FIELDS fields (but at
     least one row), so the fields of at most one chunk are held as
     strings, whatever k is.  Errors name the same row, in the same order
@@ -290,7 +315,8 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
     """
     d = domain.dimension
     k = domain.k
-    want = 1 + d + 2 * k
+    expected = _sample_header(d, k)
+    want = len(expected)
     chunk = max(1, CHUNK_FIELDS // want)
     ids, tables = [], []
     non_finite = None
@@ -305,6 +331,9 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
                     f"{path}: expected {want} columns for dimension {d}, k {k}; "
                     f"got {len(header)}"
                 )
+            if header != expected:
+                i = next(i for i, (a, b) in enumerate(zip(header, expected)) if a != b)
+                raise SpecFormatError(f"{path}: column {i + 1} is {header[i]!r}, expected {expected[i]!r}")
             first = 2  # file row of the chunk's first body row
             while True:
                 cell_ids, table = _parse_rows(path, list(islice(reader, chunk)), want, first)
@@ -330,17 +359,14 @@ def read_samples(path: str, domain: MultiTileDomain) -> tuple[SpectralData, Opti
         meta = _read_json(sidecar)
         if not isinstance(meta, dict):
             raise SpecFormatError(f"{sidecar}: expected a JSON object")
-    provenance = "exact-pointwise"
-    radius = None
-    if meta is not None:
-        provenance = meta.get("provenance", provenance)
-        radius = meta.get("radius")
+        _check_sidecar(meta, d)
+    fields = meta or {}
     data = SpectralData(
         cell_ids=cell_ids,
         points=points,
         values=values,
-        provenance=provenance,
-        radius=radius,
+        provenance=fields.get("provenance", "exact-pointwise"),
+        radius=fields.get("radius"),
     )
     return data, meta
 

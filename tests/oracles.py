@@ -459,8 +459,9 @@ def write_samples_reference(path, domain, shifts, data, extra_meta=None) -> None
 
 
 def read_samples_reference(path, domain):
-    """Per-row sample CSV reader: int() and float() on each field in
-    column order, stopping at the first bad row."""
+    """Per-row sample CSV reader: the header's names checked one by one,
+    then int() and float() on each field in column order, stopping at
+    the first bad row."""
     d = domain.dimension
     k = domain.k
     want = 1 + d + 2 * k
@@ -476,6 +477,10 @@ def read_samples_reference(path, domain):
             f"{path}: expected {want} columns for dimension {d}, k {k}; "
             f"got {len(rows[0])}"
         )
+    header = ["cell"] + [f"u_{i + 1}" for i in range(d)] + [f"{part}_F_{s}" for s in range(k) for part in ("Re", "Im")]
+    for i, (got, expected) in enumerate(zip(rows[0], header)):
+        if got != expected:
+            raise SpecFormatError(f"{path}: column {i + 1} is {got!r}, expected {expected!r}")
     cell_ids = np.empty(len(rows) - 1, dtype=int)
     points = np.empty((len(rows) - 1, d))
     values = np.empty((len(rows) - 1, k), dtype=complex)

@@ -87,6 +87,32 @@ def test_validate_not_a_tiling():
         make_domain(lat, cells)
 
 
+def test_validate_names_first_overlapping_pair():
+    """Of several overlapping pairs of boxes the first (i, j) in
+    lexicographic order is named, as a loop over all pairs finds it."""
+    lat = make_lattice([[1.0]])
+    # (0, 3) and (1, 2) overlap; a scan by j first would name (1, 2)
+    boxes = [[0.0, 0.3], [0.5, 0.7], [0.6, 0.8], [0.2, 0.4], [0.9, 1.0]]
+    with pytest.raises(NotATiling, match=r"^cell boxes 0 and 3 overlap$"):
+        make_domain(lat, [make_cell([b], [[0]]) for b in boxes])
+    lat = make_lattice(np.eye(2).tolist())
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        # six boxes of total area 1, in the lower or upper half of the square
+        widths = 2 * rng.dirichlet(np.full(6, 20.0))
+        boxes = [
+            [[x, x + w], [y, y + 0.5]]
+            for x, w, y in zip(rng.uniform(0, 1 - widths), widths, rng.integers(0, 2, 6) / 2)
+        ]
+        overlap = [
+            (i, j) for i in range(6) for j in range(i + 1, 6)
+            if all(min(a[1], b[1]) - max(a[0], b[0]) > 1e-9 for a, b in zip(boxes[i], boxes[j]))
+        ]
+        assert overlap
+        with pytest.raises(NotATiling, match=r"^cell boxes %d and %d overlap$" % overlap[0]):
+            make_domain(lat, [make_cell(b, [[0, 0]]) for b in boxes])
+
+
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_fixtures_cover_k_times(name):
     """Brute-force covering count at random points equals k."""

@@ -44,8 +44,8 @@ from multitile import (
 )
 
 from builders import ALL, domain_of, run_cli, tilings, twocell_2tile_2d
-from multitile import errors, formats
-from multitile.cli import _guard, main
+from multitile import cli, errors, formats
+from multitile.cli import main
 from oracles import read_samples_reference, write_result_reference, write_samples_reference
 
 DOMAINS = Path(__file__).resolve().parent.parent / "domains"
@@ -415,6 +415,9 @@ READ_CASES = {
     "short row before soup": [_short(2), _set_field(4, 6, "soup")],
     "bad id after bad float": [_set_field(2, 2, "x"), _set_field(3, 0, "y")],
     "nan": [_set_field(3, 2, "nan")],
+    "renamed column": [_set_field(0, 2, "u_9")],
+    "swapped value columns": [_set_field(0, 3, "Im_F_0"), _set_field(0, 4, "Re_F_0")],
+    "renamed column before soup": [_set_field(0, 7, "Re_F_x"), _set_field(3, 4, "soup")],
 }
 
 
@@ -593,7 +596,7 @@ def test_cli_bounds_json_is_the_record(tmp_path):
         }
 
 
-def test_error_classes_define_exit_codes():
+def test_error_classes_define_exit_codes(monkeypatch):
     classes = {
         name: cls for name, cls in vars(errors).items()
         if isinstance(cls, type) and issubclass(cls, MultitileError)
@@ -611,18 +614,109 @@ def test_error_classes_define_exit_codes():
     }
 
     def exit_code(exc):
-        @_guard
-        def command():
+        # the error escapes a command run through the group, as from the library
+        def fail(path):
             raise exc
 
-        with pytest.raises(SystemExit) as info:
-            command()
-        return info.value.code
+        monkeypatch.setattr(cli, "load_domain", fail)
+        return run_cli("check", "--domain", "unused.json").returncode
 
     cases = [(cls("x"), 1 if issubclass(cls, InputError) else 2) for cls in classes.values()]
     cases += [(OSError("x"), 1), (ValueError("x"), 3), (MultitileError("x"), 3)]
     for exc, code in cases:
         assert exit_code(exc) == code, exc
+
+
+SPLIT = str(DOMAINS / "split_2tile.json")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("bogus",),
+        ("--bogus", "check"),
+        ("check",),
+        ("check", "--domain", SPLIT, "--bogus"),
+        ("check", "--domain", SPLIT, "--eta", "1"),
+        ("dual", "--domain", SPLIT, "--grid", "abc"),
+        ("dual", "--domain", SPLIT, "--grid", "2", "--s", "abc"),
+        ("synthesize", "--domain", SPLIT),
+    ],
+    ids=["no-command", "unknown-command", "unknown-group-option", "missing-domain",
+         "unknown-option", "check-eta", "bad-grid", "bad-s", "missing-out"],
+)
+def test_cli_usage_error_exit_1(args):
+    """A command line click refuses, while parsing the group or a
+    command, exits 1, the code of malformed input."""
+    out = run_cli(*args)
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == "" and "Usage: " in out.stderr
+
+
+def test_cli_help_exit_0():
+    out = run_cli("--help")
+    assert out.returncode == 0 and "Commands:" in out.stdout, out.stderr
+    out = run_cli("check", "--help")
+    assert out.returncode == 0 and "--q TEXT" in out.stdout, out.stderr
+    assert "--eta" not in out.stdout
+    assert "--eta TEXT" in run_cli("shifts", "--help").stdout
+
+
+def test_cli_prints_integers_exactly():
+    """Integers are printed as themselves, not through a float: 10^18 + 1
+    would print as 1e+18."""
+    out = run_cli("check", "--domain", SPLIT, "--q", "1000000000000000001")
+    assert out.returncode == 0, out.stderr
+    assert "v = (1)\nq = (1000000000000000001)\ndelta = (1e-18)\n" in out.stdout
+
+
+def test_cli_malformed_sidecar_refused_under_flags(tmp_path):
+    """read_samples checks every sidecar shift field that is present, so
+    a malformed v is refused also when --v/--q would override it."""
+    dom, sh, data = _sample_set("split_2tile", [1], [3])
+    path = tmp_path / "samples.csv"
+    write_samples(str(path), dom, sh, data, {"v": [1.5], "q": [3]})
+    with pytest.raises(SpecFormatError, match="^sample sidecar v must be a list of 1 integers$"):
+        read_samples(str(path), dom)
+    out = run_cli("reconstruct", "--domain", SPLIT, "--samples", str(path), "--v", "1", "--q", "3")
+    assert out.returncode == 1
+    assert out.stderr == "error: sample sidecar v must be a list of 1 integers\n"
+
+
+def test_cli_reconstruct_names_mismatched_header_column(tmp_path):
+    """A 1D sample file of k = 2 has the 6 columns a one-cell 3D domain
+    of k = 1 expects; without a sidecar to tell them apart, the header
+    names still refuse it, naming the first column that differs."""
+    samples = tmp_path / "s.csv"
+    out = run_cli("synthesize", "--domain", str(DOMAINS / "interval_2tile.json"),
+                  "--grid", "4", "--out", str(samples))
+    assert out.returncode == 0, out.stderr
+    os.unlink(str(samples) + ".meta.json")
+    cube = tmp_path / "cube.json"
+    save_domain(domain_of(np.eye(3).tolist(), [([[0, 1]] * 3, [[0, 0, 0]])]), str(cube))
+    out = run_cli("reconstruct", "--domain", str(cube), "--samples", str(samples))
+    assert out.returncode == 1
+    assert out.stderr == f"error: {samples}: column 3 is 'Re_F_0', expected 'u_2'\n"
+
+
+@pytest.mark.parametrize("z", [2**63, -(2**63) - 1])
+def test_integer_outside_int64_is_named(tmp_path, z):
+    """An integer outside int64 is named with the range, after the
+    message of the list that holds it."""
+    domain = tmp_path / "domain.json"
+    domain.write_text(INTERVAL.replace('"offsets":[[0],[1]]', '"offsets":[[0],[%d]]' % z))
+    out = run_cli("check", "--domain", str(domain))
+    assert out.returncode == 1
+    assert out.stderr == (
+        f"error: cell 0: offsets must be rows of 1 finite numbers: {z} is outside the 64-bit integer range\n"
+    )
+    dom, sh, data = _sample_set("split_2tile", [1], [3])
+    path = tmp_path / "samples.csv"
+    write_samples(str(path), dom, sh, data, {"v": [1], "q": [z]})
+    with pytest.raises(SpecFormatError) as err:
+        read_samples(str(path), dom)
+    assert str(err.value) == f"sample sidecar q must be a list of 1 integers: {z} is outside the 64-bit integer range"
 
 
 def _two_offset_domain(tmp_path, z: int) -> str:

@@ -31,10 +31,11 @@ from .admissibility import (
     check as check_admissible,
     find_pair,
 )
-from .domain import MultiTileDomain, _cell_rows, _region_points, _unowned, sample_grid
+from .domain import MultiTileDomain, _cell_rows, _unowned, sample_grid
 from .errors import InputError, MathError, ResidueCollision, SpecFormatError
 from .expsystem import (
-    dual_eval,
+    _dual_factors,
+    _unit_phases,
     frequency_vector,
     is_orthogonal,
     make_shifts,
@@ -287,16 +288,13 @@ def cmd_dual(domain_path, v_text, q_text, eta_text, n_text, s_pos, grid_n, out_p
     if not 1 <= s_pos <= domain.k:
         raise SpecFormatError(f"--s must lie in 1..{domain.k}, got {s_pos}")
     _check_grid_budget(domain, grid_n)
-    label = frequency_vector(domain, shifts, n, s_pos)
-    click.echo(f"label = {_vec_str(label)}")
-
     ids, us = flatten_grid(sample_grid(domain, grid_n))
-    pts = _region_points(domain, ids, us)
-    vals = dual_eval(domain, shifts, n, s_pos, pts)
-    click.echo(f"evaluated {len(pts)} points")
+    vals = _unit_phases(domain, shifts, n, s_pos)(us)[:, None] * _dual_factors(domain, shifts, s_pos)[ids]
+    click.echo(f"label = {_vec_str(frequency_vector(domain, shifts, n, s_pos))}")
+    click.echo(f"evaluated {vals.size} points")
     if out_path:
         result = ReconstructionResult(
-            values=vals,
+            values=vals.ravel(),
             residuals=np.full(len(ids), np.nan),
             skipped=(),
             kept_rows=np.arange(len(ids)),
@@ -396,11 +394,11 @@ def cmd_synthesize(domain_path, v_text, q_text, eta_text, grid_n, seed, mode,
                 rng = np.random.default_rng(seed)
                 values = rng.normal(size=(len(ids), k)) + 1j * rng.normal(size=(len(ids), k))
             else:
+                # e_(n,s) at region r above a row of cell c: phases times conj V_c[s, r]
+                conj_v = np.stack([ps.V.conj() for ps in shifts.systems])
                 values = np.zeros((len(ids), k), dtype=complex)
-                ys = _region_points(domain, ids, pts)
                 for (n, s), c in coeffs.items():
-                    label = frequency_vector(domain, shifts, np.array(n), s)
-                    values += c * np.exp(2j * np.pi * (ys @ label)).reshape(len(ids), k)
+                    values += c * _unit_phases(domain, shifts, n, s)(pts)[:, None] * conj_v[ids, s - 1]
                 _check_finite_rows(values, "region values")
             data = forward_data(domain, shifts, ids, pts, values)
     _check_finite_rows(data.values, "data values")

@@ -187,15 +187,9 @@ def _cell_groups(cells: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
     return [(int(c), np.flatnonzero(cells == c)) for c in distinct]
 
 
-def _region_points(domain: MultiTileDomain, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """omega for every region above every row of an (N, d) array of
-    points owned by the given cells: an (N*k, d) array holding, row by
-    row, the points of regions 1..k."""
-    return _offset_images(domain, cells, u @ domain.lattice.basis.T)
-
-
 def _offset_images(domain: MultiTileDomain, cells: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """_region_points from the images base = M u of the points.
+    """omega for every region above every row u owned by the given cells,
+    from base = M u: (N*k, d), regions 1..k of each row in turn.
 
     M(u + z) is computed as M u plus the cell's offset image M z, so
     the (N, k, d) result is written once, one axis at a time.  Callers

@@ -1,7 +1,7 @@
 """Exponential systems on a multi-tiling domain.
 
 For an admissible spacing delta the shifted exponentials with
-frequencies M^{-T}(n + delta*j_s) + eta, over integer n and the shift
+frequencies M^{-T}(n + delta*j_s + eta), over integer n and the shift
 index set {j_s}, form a Riesz basis of L^2 over the domain.  This
 module builds the per-cell system matrices
 
@@ -9,6 +9,14 @@ module builds the per-cell system matrices
 
 the explicit biorthogonal dual family, the frame bounds, and the exact
 Gram integrals used to verify all of it in closed form.
+
+Every exponential on the domain is evaluated on (cell, u) rows, u in
+[0,1)^d, by one rule: at the region point M(u + z_r) of cell c,
+
+    e_(n,s) = exp(2 pi i <u, n + delta*j_s + eta>) * conj V_c[s, r],
+
+since <z_r, n + eta> is an integer and V (vandermonde._phases) is exact
+at any offset size; a dual value is the same times dual_c[r, s].
 
 The closed-form integrals are batched: one kernel evaluates a whole
 table of them, over a grid of integer label differences times a set of
@@ -18,7 +26,6 @@ integral is a product of one-axis integrals; the kernel evaluates each
 one-axis integral once per distinct integer coordinate and remainder
 and builds the table by gathering and multiplying across axes, so its
 exponentials grow with the label range per axis, not with the grid.
-dual_eval likewise locates all of its points in one array pass.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import (
     SpecFormatError,
 )
 from .freqtree import _integer_array, shift_index_set
-from .vandermonde import COND_LIMIT, SINGULAR_TOL, _conditions, _level_norms, _phases, _solve_columns
+from .vandermonde import COND_LIMIT, PHASE_LIMIT, SINGULAR_TOL, _conditions, _level_norms, _phases, _solve_columns
 
 ORTHO_TOL = 1e-10
 CHUNK = 2**11  # table entries per chunk of the closed-form integrals
@@ -74,9 +81,9 @@ class PointSystem:
 class ShiftSet:
     """Realized shift family a_s = M^{-T}(delta*j_s) + eta per cell.
 
-    eta is a dual-lattice point given by integer coordinates; it drops
-    out of every system matrix because exp(2 pi i <lattice, eta>) = 1,
-    but it is kept so frequencies and data files stay faithful to it.
+    eta_coords are the integer dual-lattice coordinates of eta; eta
+    drops out of every system matrix because exp(2 pi i <lattice, eta>)
+    = 1, but it is kept so frequencies and data files stay faithful to it.
 
     systems holds every cell's PointSystem, so a ShiftSet belongs to the
     domain it was built from; every consumer reads each cell's matrix,
@@ -86,15 +93,10 @@ class ShiftSet:
     delta: np.ndarray                                 # (d,)
     q: Optional[tuple[int, ...]]                      # certificate moduli; None for a raw delta
     eta_coords: np.ndarray                            # (d,) int
-    eta: np.ndarray                                   # dual-lattice point
     index_sets: tuple[tuple[tuple[int, ...], ...], ...]  # per cell
     shifts: tuple[np.ndarray, ...]                    # per cell (k, d)
     uniform: bool
     systems: tuple[PointSystem, ...]                  # per cell
-
-    @property
-    def dimension(self) -> int:
-        return self.delta.shape[0]
 
 
 def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
@@ -151,13 +153,12 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
                 a.setflags(write=False)
         systems.append(PointSystem(ci, V, sigma, dual, vectors, blocks, solve))
 
-    for a in (delta, eta_coords, eta_vec):
+    for a in (delta, eta_coords):
         a.setflags(write=False)
     return ShiftSet(
         delta=delta,
         q=q,
         eta_coords=eta_coords,
-        eta=eta_vec,
         index_sets=tuple(index_sets),
         shifts=tuple(shift_vecs),
         uniform=uniform,
@@ -256,20 +257,46 @@ def riesz_bounds(domain: MultiTileDomain, shifts: ShiftSet) -> RieszBounds:
     )
 
 
-def frequency_vector(domain: MultiTileDomain, shifts: ShiftSet, n, s: int) -> np.ndarray:
-    """Actual frequency M^{-T}(n + delta*j_s + eta) of basis label (n, s).
-
-    n is an integer dual-lattice coordinate vector and s a 1-based
-    position in the shared shift index list.
-    """
+def _label(domain: MultiTileDomain, shifts: ShiftSet, n, s) -> np.ndarray:
+    """n of basis label (n, s), read by freqtree._integer_array, once n
+    and the 1-based position s (or an array of them) are checked."""
     _require_uniform(shifts, "frequency labeling")
-    n = np.asarray(n, dtype=float)
+    n = _integer_array(n, f"label {np.asarray(n).tolist()}")
     if n.shape != (domain.dimension,):
         raise DimensionMismatch(f"label must have shape ({domain.dimension},)")
-    if not 1 <= s <= domain.k:
+    if not all(1 <= p <= domain.k for p in np.ravel(s).tolist()):
         raise SpecFormatError(f"shift position {s} outside 1..{domain.k}")
-    j = np.array(shifts.index_sets[0][s - 1], dtype=float)
-    return domain.lattice.dual_basis @ (n + shifts.delta * j + shifts.eta_coords)
+    return n
+
+
+def frequency_vector(domain: MultiTileDomain, shifts: ShiftSet, n, s: int) -> np.ndarray:
+    """Actual frequency M^{-T}(n + delta*j_s + eta) of basis label (n, s),
+    n integer dual-lattice coordinates, s a 1-based shift position."""
+    n = _label(domain, shifts, n, s)
+    return domain.lattice.dual_basis @ (n + shifts.delta * np.array(shifts.index_sets[0][s - 1]) + shifts.eta_coords)
+
+
+def _unit_phases(domain: MultiTileDomain, shifts: ShiftSet, n, s):
+    """The first factor of the module docstring's rule, u -> exp(2 pi i
+    <u, w>), w = n + delta*j_s + eta, on the rows of an (N, d) array u
+    of [0,1)^d: (N,) for one position s, (N, S) for S of them.  Before
+    any u, SpecFormatError names the label and eta once sum_l |w_l|,
+    which bounds <u, w>, passes PHASE_LIMIT."""
+    n = _label(domain, shifts, n, s)
+    w = n + shifts.delta * np.array(shifts.index_sets[0])[np.asarray(s) - 1] + shifts.eta_coords
+    reach = np.abs(w).sum(axis=-1).max()
+    if reach > PHASE_LIMIT:
+        raise SpecFormatError(f"label n = {n.tolist()}, s = {np.asarray(s).tolist()} with eta = "
+                              f"{shifts.eta_coords.tolist()} gives phase arguments up to {reach:.3e} "
+                              f"on [0,1)^d, above {PHASE_LIMIT:.1e}")
+    return lambda u: np.exp(2j * np.pi * (u @ w.T))
+
+
+def _dual_factors(domain: MultiTileDomain, shifts: ShiftSet, s: int) -> np.ndarray:
+    """(cells, k) factors [c, r] = conj V_c[s, r] * dual_c[r, s] that
+    take _unit_phases to the dual generator of shift position s."""
+    return np.stack([ps.V[s - 1].conj() * cell_system(domain, shifts, ci).dual[:, s - 1]
+                     for ci, ps in enumerate(shifts.systems)])
 
 
 def _chunks(total: int, width: int):
@@ -373,6 +400,9 @@ def gram(domain: MultiTileDomain, l1, l2) -> complex:
     if l1.shape != (domain.dimension,) or l2.shape != (domain.dimension,):
         raise DimensionMismatch("frequencies must be d-vectors")
     theta = domain.lattice.basis.T @ (l1 - l2)
+    reach = max(np.abs(c.offsets * theta).sum(axis=1).max() for c in domain.cells)
+    if reach > PHASE_LIMIT:  # theta is real, so <z_r, theta> cannot be reduced mod q
+        raise SpecFormatError(f"gram: lattice phases of theta = {theta.tolist()} reach {reach:.3e} > PHASE_LIMIT")
     regions = [np.exp(2j * np.pi * (c.offsets @ theta[:, None])) for c in domain.cells]
     _, block = next(_piece_table(domain, np.zeros((1, domain.dimension), dtype=int), theta[None, :], regions))
     return complex(block[0, 0])
@@ -382,22 +412,18 @@ def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> n
     """Evaluate the dual generator of basis label (n, s) at an (N, d)
     array of points of the domain; returns the (N,) values.
 
-    On the piece of region r over cell c the dual is the exponential
-    e_l itself times the constant k * V[s, r] * V^{-1}[r, s].  All
-    points are located in one pass; if any point is not in the domain,
-    the error is the one omega_inverse raises for the first of them.
+    All points are located in one pass and evaluated on their (cell, u)
+    rows by the module docstring's rule; if any point is not in the
+    domain, the error is the one omega_inverse raises for the first.
     """
-    _require_uniform(shifts, "dual evaluation")
-    l = frequency_vector(domain, shifts, n, s)
-    duals = [cell_system(domain, shifts, ci).dual for ci in range(len(domain.cells))]
+    phases = _unit_phases(domain, shifts, n, s)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != domain.dimension:
         raise DimensionMismatch(
             f"points have shape {pts.shape}, expected (N, {domain.dimension})"
         )
-    regions, _, cells = _omega_inverse_rows(domain, pts)
-    factors = np.stack([w[:, s - 1] for w in duals])  # (cells, k)
-    return np.exp(2j * np.pi * (pts @ l)) * factors[cells, regions - 1]
+    regions, u, cells = _omega_inverse_rows(domain, pts)
+    return phases(u) * _dual_factors(domain, shifts, s)[cells, regions - 1]
 
 
 def verify_biorthogonality(

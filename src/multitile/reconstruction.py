@@ -39,17 +39,17 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .domain import MultiTileDomain, _cell_groups, _cell_rows, _region_points
+from .domain import MultiTileDomain, _cell_groups, _cell_rows, _offset_images
 from .errors import DimensionMismatch, SingularMatrix, SpecFormatError
 from .expsystem import (
     ShiftSet,
     _chunks,
+    _label,
     _label_grid,
     _piece_table,
-    _require_uniform,
+    _unit_phases,
     cell_system,
 )
-from .freqtree import _integer_array
 from .vandermonde import _phases, _solve_columns, _warn_ill_conditioned
 
 __all__ = [
@@ -148,7 +148,6 @@ def coefficient_data(
     coeffs.  As radius grows this converges to the exact data of
     forward_data.
     """
-    _require_uniform(shifts, "coefficient data")
     if radius < 0:
         raise SpecFormatError(f"radius must be nonnegative, got {radius}")
     cell_ids = np.asarray(cell_ids, dtype=int)
@@ -157,16 +156,9 @@ def coefficient_data(
     k = domain.k
     js = np.array(shifts.index_sets[0])
     delta = shifts.delta
-    eta = shifts.eta_coords.astype(float)
 
-    terms = []
-    for (n_src, s_src), c in coeffs.items():
-        n = _integer_array(n_src, f"coefficient label {n_src}")
-        if n.shape != (d,):
-            raise DimensionMismatch(f"coefficient label {n_src} is not a {d}-vector")
-        if not 1 <= int(s_src) <= k:
-            raise SpecFormatError(f"shift position {s_src} outside 1..{k}")
-        terms.append((n, int(s_src) - 1, complex(c)))
+    terms = [(_label(domain, shifts, n, s), int(s) - 1, complex(c)) for (n, s), c in coeffs.items()]
+    phases = _unit_phases(domain, shifts, np.zeros(d, dtype=int), np.arange(1, k + 1))
 
     # <f, e_(n,s)> over the label grid n, one table row per n: one
     # batched table, block [t] holding term t's inner products
@@ -184,7 +176,7 @@ def coefficient_data(
     for rows in _chunks(len(points), len(labels)):
         u = points[rows]
         values[rows] = np.exp(2j * np.pi * (u @ labels.T)) @ inner
-        values[rows] *= np.exp(2j * np.pi * (u @ (delta * js + eta).T))
+        values[rows] *= phases(u)
     return SpectralData(
         cell_ids=cell_ids,
         points=points,
@@ -224,7 +216,7 @@ class ReconstructionResult:
     @cached_property
     def points(self) -> np.ndarray:
         """(M*k, d) points of the domain, regions 1..k of each kept row."""
-        return _region_points(self.domain, self.kept_cells, self.kept_points)
+        return _offset_images(self.domain, self.kept_cells, self.kept_points @ self.domain.lattice.basis.T)
 
     @cached_property
     def source_rows(self) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each builder returns a fresh MultiTileDomain.  PERFECT lists the ones
 that admit a perfect direction/modulus pair under find_pair's default
 search bounds; the others only reach a strong pair.  The Hypothesis
-strategy tilings draws random valid domains for property tests.
+strategies tilings and large_offset_tilings draw random valid domains
+for property tests.
 run_cli runs the command line in process.
 """
 
@@ -132,11 +133,9 @@ def random_offsets(rng, d, k, span=5):
     return np.array(sorted(seen))
 
 
-@st.composite
-def tilings(draw):
-    """Random valid multi-tiling: a sheared, scaled lattice basis, a
-    guillotine partition of the unit cube and k distinct offsets per
-    cell."""
+def _basis_and_boxes(draw):
+    """A sheared, scaled lattice basis in d = 1..3 and a guillotine
+    partition of the unit cube into up to four boxes."""
     d = draw(st.integers(1, 3))
     shear = np.eye(d)
     for i in range(d):
@@ -151,10 +150,34 @@ def tilings(draw):
         lo, hi = box.copy(), box.copy()
         lo[ax, 1] = hi[ax, 0] = cut
         boxes += [lo, hi]
+    return shear * scale, boxes
+
+
+@st.composite
+def tilings(draw):
+    """Random valid multi-tiling: a sheared, scaled lattice basis, a
+    guillotine partition of the unit cube and k distinct offsets per
+    cell."""
+    basis, boxes = _basis_and_boxes(draw)
+    d = len(basis)
     k = draw(st.integers(1, 4))
     offset = st.tuples(*[st.integers(-3, 3)] * d)
     cells = [
         (box, draw(st.lists(offset, min_size=k, max_size=k, unique=True)))
         for box in boxes
     ]
-    return domain_of((shear * scale).tolist(), cells)
+    return domain_of(basis.tolist(), cells)
+
+
+@st.composite
+def large_offset_tilings(draw):
+    """A tiling as tilings() draws it, whose cells carry one set of up
+    to four offsets, each cell's translated by its own lattice point,
+    with entries up to 2^62: every cell has the same offset tree, so a
+    certificate for one cell serves all, but its own residues mod q."""
+    basis, boxes = _basis_and_boxes(draw)
+    big = st.integers(-(2**61), 2**61)
+    offsets = np.array(draw(st.lists(st.tuples(*[big] * len(basis)), min_size=1, max_size=4, unique=True)),
+                       dtype=object)
+    cells = [(box, (offsets + draw(st.tuples(*[big] * len(basis)))).tolist()) for box in boxes]
+    return domain_of(basis.tolist(), cells)

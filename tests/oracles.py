@@ -25,6 +25,7 @@ import json
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -235,6 +236,28 @@ def block_sigmas_reference(vectors, delta) -> list[tuple[int, np.float64, np.flo
 
 
 _RESIDUE_TOL = 1e-9
+
+
+def exponential_exact(u, z, cert, n, j, eta) -> complex:
+    """exp(2 pi i <u + z, n + delta*j + eta>) for a float point u (taken
+    exactly), integer vectors z, n, j and eta, and delta = v/q of an
+    admissibility certificate: the argument is reduced mod 1 in exact
+    rational arithmetic before the one float exponential."""
+    arg = sum(
+        (Fraction(float(a)) + int(b)) * (int(nl) + Fraction(int(v), int(q)) * int(jl) + int(el))
+        for a, b, nl, v, q, jl, el in zip(u, z, n, cert.v, cert.q, j, eta)
+    )
+    return complex(np.exp(2j * np.pi * float(arg % 1)))
+
+
+def system_exact(cert, index_set, offsets) -> np.ndarray:
+    """V[s, r] = exp(-2 pi i <delta*j_s, z_r>) of one cell, each phase
+    reduced mod 1 exactly by exponential_exact."""
+    zero = [0] * len(offsets[0])
+    return np.array([
+        [exponential_exact(zero, z, cert, zero, [-x for x in j], zero) for z in offsets]
+        for j in index_set
+    ])
 
 
 def _residue(value: float, q: int) -> float:

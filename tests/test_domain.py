@@ -19,7 +19,7 @@ from multitile import (
     omega_inverse,
     sample_grid,
 )
-from multitile.domain import _region_points, validate_cells
+from multitile.domain import _offset_images, validate_cells
 
 from builders import ALL, domain_of, random_offsets, tilings
 from oracles import tiling_count
@@ -195,8 +195,9 @@ def test_offsets_at():
 
 @given(tilings(), st.data())
 def test_region_points_match_omega(dom, data):
-    """_region_points on grouped and on shuffled rows equals omega row
-    by row, regions 1..k in order, on sheared and scaled lattices."""
+    """The region points _offset_images builds from M u, on grouped and
+    on shuffled rows, equal omega row by row, regions 1..k in order, on
+    sheared and scaled lattices."""
     d, k = dom.dimension, dom.k
     ids = np.concatenate([np.full(4, ci) for ci in range(len(dom.cells))])
     pts = np.concatenate([
@@ -209,7 +210,7 @@ def test_region_points_match_omega(dom, data):
     tol = 1e-14 * max(1.0, np.linalg.norm(dom.lattice.basis, 2) * (1 + np.abs(offsets).max()))
     perm = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(len(ids))
     for rows in (np.arange(len(ids)), perm):
-        got = _region_points(dom, ids[rows], pts[rows])
+        got = _offset_images(dom, ids[rows], pts[rows] @ dom.lattice.basis.T)
         want = [omega(dom, r, u) for u in pts[rows] for r in range(1, k + 1)]
         assert got.shape == (len(rows) * k, d)
         assert np.abs(got - want).max() <= tol

@@ -217,6 +217,31 @@ def test_k1_dual_is_exponential():
     )
 
 
+def test_non_integer_label_refused():
+    """A label n must be an integer vector: 0.5 is no label of the
+    basis, and frequency_vector and dual_eval refuse it, naming it."""
+    dom, sh = _shifts("split_2tile", [1], [3])
+    with pytest.raises(SpecFormatError, match=r"label \[0\.5\] must be integers"):
+        frequency_vector(dom, sh, [0.5], 1)
+    with pytest.raises(SpecFormatError, match=r"label \[0\.5\] must be integers"):
+        dual_eval(dom, sh, [0.5], 1, [[0.25]])
+    assert frequency_vector(dom, sh, [2.0], 1) == frequency_vector(dom, sh, [2], 1)
+
+
+def test_gram_lattice_phase_limit():
+    """gram takes real frequencies, so its lattice phases <z_r, theta>
+    cannot be reduced mod q: past PHASE_LIMIT they are refused.  On the
+    offsets {0, 10^18} the exact value at theta = 1/2 is 4i/pi, since
+    10^18 is even, and a float phase gives 0.408+0.148i."""
+    big = domain_of([[1.0]], [([[0, 1]], [[0], [10**18]])])
+    with pytest.raises(SpecFormatError, match=r"gram: .* theta = \[0\.5\] reach 5\.000e\+17"):
+        gram(big, np.array([0.5]), np.array([0.0]))
+    near = domain_of([[1.0]], [([[0, 1]], [[0], [int(2 * PHASE_LIMIT)]])])
+    assert abs(gram(near, np.array([0.5]), np.array([0.0])) - 4j / np.pi) <= 1e-9
+    with pytest.raises(SpecFormatError, match="gram"):
+        gram(near, np.array([0.5 + 1e-9]), np.array([0.0]))
+
+
 def test_gram_diagonal_is_measure():
     for name in ("interval_2tile", "box_pair_2d", "shear_2tile"):
         dom = ALL[name]()

@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from multitile import (
     InputError,
     MathError,
     MultitileError,
+    NoPairFound,
     ReconstructionResult,
     SpecFormatError,
     SpectralData,
@@ -43,10 +44,16 @@ from multitile import (
     write_samples,
 )
 
-from builders import ALL, domain_of, run_cli, tilings, twocell_2tile_2d
+from builders import ALL, domain_of, large_offset_tilings, run_cli, tilings, twocell_2tile_2d
 from multitile import cli, errors, formats
 from multitile.cli import main
-from oracles import read_samples_reference, write_result_reference, write_samples_reference
+from oracles import (
+    exponential_exact,
+    read_samples_reference,
+    system_exact,
+    write_result_reference,
+    write_samples_reference,
+)
 
 DOMAINS = Path(__file__).resolve().parent.parent / "domains"
 
@@ -751,6 +758,107 @@ def test_cli_offsets_past_2_53_are_exact(tmp_path):
     out = run_cli("verify", "--domain", _two_offset_domain(tmp_path, 100001), "--radius", "2", "--out", str(report))
     assert out.returncode == 0, out.stderr
     assert json.loads(report.read_text())["orthogonality_deviation"] <= 1e-15
+
+
+def _result_values(path, d: int) -> np.ndarray:
+    """The complex values of a result CSV (dual --out, reconstruct --out)."""
+    with open(path, newline="") as handle:
+        body = list(csv.reader(handle))[1:]
+    return np.array([complex(float(row[d]), float(row[d + 1])) for row in body])
+
+
+def _exact_dual(dom, cert, index_set, n, s, eta, ids, us) -> np.ndarray:
+    """The Fraction oracle for `dual`: at region r above a grid row u of
+    cell c, exp(2 pi i <u + z_r, n + delta*j_s + eta>) k V[s, r] V^-1[r, s],
+    row by row, regions in order."""
+    out = []
+    for c, u in zip(ids, us):
+        offsets = dom.cells[c].offsets.tolist()
+        V = system_exact(cert, index_set, offsets)
+        factors = dom.k * V[s - 1] * np.linalg.inv(V)[:, s - 1]
+        out += [exponential_exact(u, z, cert, n, index_set[s - 1], eta) * f for z, f in zip(offsets, factors)]
+    return np.array(out)
+
+
+def test_cli_dual_and_function_exact_past_2_53(tmp_path):
+    """On offsets {0, 10^18} (q = 3), `dual --s 2` and a `--function`
+    round trip give the exact values at region 2, whose float region
+    points 10^18 + u cannot hold u; 10^18 is 1 mod 3."""
+    domain = _two_offset_domain(tmp_path, 10**18)
+    dom = load_domain(domain)
+    cert = find_pair(dom)
+    assert (cert.v, cert.q) == ((1,), (3,))
+    js = make_shifts(dom, cert).index_sets[0]
+    ids, us = flatten_grid(sample_grid(dom, 4))
+    out = run_cli("dual", "--domain", domain, "--grid", "4", "--s", "2", "--out", str(tmp_path / "d.csv"))
+    assert out.returncode == 0, out.stderr
+    got = _result_values(tmp_path / "d.csv", 1)
+    assert abs(got[1] - (-1.1153550716504106 + 0.2988584907226843j)) <= 1e-12
+    assert np.abs(got - _exact_dual(dom, cert, js, [0], 2, [0], ids, us)).max() <= 1e-12
+    (tmp_path / "c.json").write_text('[{"n": [0], "s": 2, "re": 1}]')
+    samples = str(tmp_path / "s.csv")
+    out = run_cli("synthesize", "--domain", domain, "--grid", "4", "--function", str(tmp_path / "c.json"), "--out", samples)
+    assert out.returncode == 0, out.stderr
+    out = run_cli("reconstruct", "--domain", domain, "--samples", samples, "--oracle", "--out", str(tmp_path / "r.csv"))
+    assert out.returncode == 0, out.stderr
+    want = [exponential_exact(u, z, cert, [0], js[1], [0]) for u in us for z in ([0], [10**18])]
+    assert abs(want[1] - (-0.7071067811865476 + 0.7071067811865476j)) <= 1e-15
+    assert np.abs(_result_values(tmp_path / "r.csv", 1) - want).max() <= 1e-12
+
+
+@given(large_offset_tilings(), st.data())
+def test_cli_row_values_match_exact_phases(dom, data):
+    """On tilings in d = 1..3 with offsets up to 2^62, at the certificate
+    find_pair takes, `dual` and `synthesize --function` agree with a
+    Fraction oracle to 1e-12 (relative to the largest value): the dual
+    is _exact_dual's, and the data of a coefficient function are vol V y
+    of its exact region values y, sums of exp(2 pi i <u + z_r, n +
+    delta*j_s + eta>), with V of exact phases."""
+    try:
+        cert = find_pair(dom)
+    except NoPairFound:
+        reject()
+    d, k = dom.dimension, dom.k
+    js = make_shifts(dom, cert).index_sets[0]
+    small = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    n, eta, s = data.draw(small), data.draw(small), data.draw(st.integers(1, k))
+    terms = data.draw(st.lists(st.tuples(small, st.integers(1, k), st.floats(-2, 2)), min_size=1, max_size=3))
+    ids, us = flatten_grid(sample_grid(dom, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        domain = os.path.join(tmp, "dom.json")
+        save_domain(dom, domain)
+        flags = ("--domain", domain, "--grid", "2", "--eta", ",".join(map(str, eta)))
+        out = run_cli("dual", *flags, "--s", str(s), "--n", ",".join(map(str, n)), "--out", f"{tmp}/d.csv")
+        assert out.returncode == 0, out.stderr
+        got = _result_values(f"{tmp}/d.csv", d)
+        want = _exact_dual(dom, cert, js, n, s, eta, ids, us)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        with open(f"{tmp}/c.json", "w") as handle:
+            json.dump([{"n": tn, "s": ts, "re": c} for tn, ts, c in terms], handle)
+        out = run_cli("synthesize", *flags, "--function", f"{tmp}/c.json", "--out", f"{tmp}/s.csv")
+        assert out.returncode == 0, out.stderr
+        got = read_samples(f"{tmp}/s.csv", dom)[0].values
+    for row, (c, u) in enumerate(zip(ids, us)):
+        offsets = dom.cells[c].offsets.tolist()
+        y = [sum(cf * exponential_exact(u, z, cert, tn, js[ts - 1], eta) for tn, ts, cf in terms) for z in offsets]
+        want = dom.lattice.volume * system_exact(cert, js, offsets) @ y
+        assert np.abs(got[row] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_cli_eta_over_phase_limit_exit_1(tmp_path):
+    """An eta whose label arguments pass PHASE_LIMIT is refused, exit
+    code 1, naming eta: by `dual` and by `synthesize --mode coeff`."""
+    strip = str(DOMAINS / "strip_3tile_2d.json")
+    (tmp_path / "c.json").write_text('[{"n": [1, 0], "s": 1, "re": 1.0}]')
+    for args in (
+        ("dual", "--grid", "2"),
+        ("synthesize", "--mode", "coeff", "--radius", "3", "--grid", "4",
+         "--function", str(tmp_path / "c.json"), "--out", str(tmp_path / "s.csv")),
+    ):
+        out = run_cli(*args, "--domain", strip, "--eta", "10000000000,0")
+        assert out.returncode == 1, out.stdout
+        assert "with eta = [10000000000, 0] gives phase arguments up to 1.000e+10" in out.stderr
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_cli_raw_spacing_over_phase_limit_exit_1(tmp_path):

@@ -35,7 +35,7 @@ from multitile import (
     shift_index_set,
     verify_biorthogonality,
 )
-from multitile.domain import _region_points
+from multitile.domain import _offset_images
 from multitile.vandermonde import COND_LIMIT
 
 from builders import ALL, domain_of, nested_values, tilings
@@ -498,7 +498,7 @@ def test_index_fields_match_eager_formulas(data):
     kept = np.setdiff1d(np.arange(len(ids)), res.skipped)
     assert np.array_equal(res.kept_rows, kept)
     eager = (
-        _region_points(dom, ids[kept], pts[kept]),
+        _offset_images(dom, ids[kept], pts[kept] @ dom.lattice.basis.T),
         np.repeat(kept, k),
         np.tile(np.arange(1, k + 1), len(kept)),
     )

@@ -19,13 +19,14 @@ since <z_r, n + eta> is an integer and V (vandermonde._phases) is exact
 at any offset size; a dual value is the same times dual_c[r, s].
 
 The closed-form integrals are batched: one kernel evaluates a whole
-table of them, over a grid of integer label differences times a set of
-real remainders (or a batch of such tables), in chunks of bounded
-size.  Every piece is a box translated by a lattice point, so its
-integral is a product of one-axis integrals; the kernel evaluates each
-one-axis integral once per distinct integer coordinate and remainder
-and builds the table by gathering and multiplying across axes, so its
-exponentials grow with the label range per axis, not with the grid.
+table of them, over boxes of integer labels (all within a radius of
+each of a batch of integer centers) times real remainders, in chunks
+of bounded size.  Every piece is a box translated by a lattice point,
+so its integral is a product of one-axis integrals; the kernel
+evaluates each one-axis integral once per label coordinate of the box
+side and remainder, for all cells in one array step, and builds the
+table by gathering and multiplying across axes, so its exponentials
+grow with the box side, not with the grid.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class ShiftSet:
 def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
     """Build the shift family and every cell's system for a spacing delta
     or a certificate, whose moduli q are kept for vandermonde._phases;
-    cell_system, not this, refuses a singular cell."""
+    cell_system, not this, refuses a singular cell.  SpecFormatError
+    names eta once |eta|_1 + max_s |delta*j_s|_1 passes PHASE_LIMIT."""
     q = None
     if isinstance(delta, AdmissibilityCertificate):
         delta, q = delta.delta, delta.q
@@ -125,6 +127,13 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
 
     trees = cell_trees(domain)
     index_sets = [shift_index_set(tree) for tree in trees]
+    # this bounds the phases of label n = 0 on [0,1)^d, as _unit_phases
+    # does; past PHASE_LIMIT the float shifts below lose their fractions
+    top = max(np.abs(np.array(js) * delta).sum(axis=1).max() for js in index_sets)
+    reach = np.abs(eta_coords.astype(float)).sum() + top
+    if reach > PHASE_LIMIT:
+        raise SpecFormatError(f"the shift family with eta = {eta_coords.tolist()} gives phase arguments up to "
+                              f"{reach:.3e} on [0,1)^d, above {PHASE_LIMIT:.1e}")
     uniform = all(set(s) == set(index_sets[0]) for s in index_sets[1:])
     if uniform:
         index_sets = [index_sets[0]] * len(index_sets)
@@ -223,10 +232,12 @@ def riesz_bounds(domain: MultiTileDomain, shifts: ShiftSet) -> RieszBounds:
     A |f|^2 <= sum |<f, e>|^2 <= B |f|^2 with A, B scaled by the
     lattice cell volume.  The factorized columns multiply the per-level
     extreme singular values of every 1D block the nested reconstruction
-    would solve.  The upper product always dominates sigma_max^2; the
-    lower product is guaranteed below sigma_min^2 only when every
-    parent at a level has the same child count (true for all shipped
-    fixtures), so treat it as a diagnostic, not a certified bound.
+    would solve.  Both are certified (lower <= sigma_min^2, upper >=
+    sigma_max^2) only when every parent at a level has the same child
+    count, as in all shipped fixtures; otherwise neither holds in
+    general (the upper one fails on the unit square with offsets
+    [[1,0],[1,2],[1,4],[4,7],[4,5],[4,1],[0,2],[0,1]] at v = (1,1),
+    q = (5,8)), so treat both as diagnostics.
     """
     _require_uniform(shifts, "Riesz bound computation")
     cells = []
@@ -313,78 +324,47 @@ def _label_grid(radius: int, d: int) -> np.ndarray:
     return np.indices((side,) * d).reshape(d, -1).T - radius
 
 
-def _distinct(term: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first position of every distinct (term, key) pair of two
-    equal-length integer arrays, and for every position the index of
-    its pair among them: np.unique(return_inverse=True) by one sort,
-    which unlike np.unique imports no numpy.ma."""
-    order = np.lexsort((key, term))
-    term, key = term[order], key[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (term[1:] != term[:-1]) | (key[1:] != key[:-1])
-    inverse = np.empty(len(order), dtype=int)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
-def _piece_table(domain: MultiTileDomain, n, f, regions):
-    """Table of piece sums, entry [g, p] for theta = n[g] + f[p],
-    yielded as (rows, block) pairs of at most CHUNK entries each (but
-    at least one row of the table).
+def _piece_table(domain: MultiTileDomain, centers, radius: int, f, weights):
+    """Table of piece sums over label boxes, entry [b, g, p] for theta =
+    centers[b] - grid[g] + f[b, p], grid = _label_grid(radius, d), for
+    a (B, d) integer array centers and a (B, P, d) array f of real
+    remainders; yielded as (rows, block) pairs, rows slicing the g axis
+    and blocks (B, g, P) of at most CHUNK entries (but at least a row).
 
     The piece sum of theta = M^T (l1 - l2) is the sum over (cell,
     region) pieces of the exponential integral int exp(2 pi i <l1-l2,
-    y>) dy.  n is a (G, d) array of integer label differences and f a
-    (P, d) array of real remainders.  A batch of B tables is built at
-    once from a (B, G, d) n and a (B, P, d) f: entry [b, g, p] is for
-    theta = n[b, g] + f[b, p], rows slice the g axis and blocks are
-    (B, g, P).
-
-    Offsets and n are integers, so the lattice phase exp(2 pi i <z_r,
-    theta>) of every piece depends on f alone: regions holds per cell a
-    (k, P) array (batched: (k, B, P)) of those phases, times any
-    weights (the dual modulations), formed by the caller (by
-    vandermonde._phases where f is a spacing times index differences).
-    Each piece is a box, so its integral is a product of one-axis
-    integrals (exp(tb) - exp(ta)) / t, t = 2 pi i theta_ax, and the
-    one of axis ax depends only on (n_ax, f_ax): it is evaluated once
-    per distinct (table, n_ax) pair and remainder, and every block
-    gathers those factors and multiplies them across axes.
+    y>) dy.  Offsets and labels are integers, so the lattice phase
+    exp(2 pi i <z_r, theta>) of every piece depends on f alone:
+    weights[c, b, p] is cell c's sum over regions of those phases at
+    f[b, p], times any weights (the dual modulations), formed by the
+    caller (by vandermonde._phases where f is a spacing times index
+    differences).  Each piece is a box, so its integral is a product of
+    one-axis integrals (exp(tb) - exp(ta)) / t, t = 2 pi i theta_ax.
+    On axis ax, theta_ax is centers[b, ax] + radius - i + f[b, p, ax],
+    i = 0..2 radius: those are evaluated for all cells in one (cells,
+    B, 2 radius + 1, P) array, and every block gathers them by grid
+    coordinate and multiplies them across axes.  The per-cell product
+    behind a block holds cells x CHUNK entries; its cells are added in
+    cell order.
     """
-    d = domain.dimension
     f = np.asarray(f, dtype=float)
-    lead = f.shape[:-2]
-    f = f.reshape(-1, *f.shape[-2:])
-    n = np.asarray(n, dtype=int)
-    n = n.reshape(len(f), n.shape[-2], d)
-    batch, rows_total, width = len(f), n.shape[1], f.shape[1]
-    lattice = [
-        domain.lattice.volume * np.reshape(r, (-1, batch, width)).sum(axis=0)[:, None, :]
-        for r in regions
-    ]
-    # per axis: the table row of every (b, g) entry, and per cell the
-    # one-axis integrals of every distinct (b, n_ax) pair and remainder
-    term = np.repeat(np.arange(batch), rows_total)
-    index, factors = [], []
+    batch, width, d = f.shape
+    lattice = domain.lattice.volume * np.asarray(weights)[:, :, None, :]
+    boxes = np.array([c.box for c in domain.cells])[:, None, None, None]
+    index = _label_grid(radius, d).T + radius
+    span = np.asarray(centers, dtype=int) + radius  # minus i along each axis
+    factors = []
     for ax in range(d):
-        key = n[:, :, ax].ravel()
-        first, inverse = _distinct(term, key)
-        index.append(inverse.reshape(batch, rows_total))
-        theta = key[first, None] + f[term[first], :, ax]
+        theta = (span[:, ax, None] - np.arange(2 * radius + 1))[:, :, None] + f[:, None, :, ax]
         tiny = np.abs(theta) < 1e-12
         t = 2j * np.pi * np.where(tiny, 1.0, theta)
-        factors.append([
-            np.where(tiny, b - a, (np.exp(t * b) - np.exp(t * a)) / t)
-            for a, b in (c.box[ax] for c in domain.cells)
-        ])
-    for rows in _chunks(rows_total, batch * width):
-        block = 0.0
-        for ci in range(len(domain.cells)):
-            part = lattice[ci]
-            for ax in range(d):
-                part = part * factors[ax][ci][index[ax][:, rows]]
-            block = block + part
-        yield rows, block.reshape(*lead, rows.stop - rows.start, width)
+        a, b = boxes[..., ax, 0], boxes[..., ax, 1]
+        factors.append(np.where(tiny, b - a, (np.exp(t * b) - np.exp(t * a)) / t))
+    for rows in _chunks(index.shape[1], batch * width):
+        part = lattice
+        for ax in range(d):
+            part = part * factors[ax][:, :, index[ax, rows]]
+        yield rows, sum(part, 0.0)  # cell by cell: np.sum would pair them
 
 
 def gram(domain: MultiTileDomain, l1, l2) -> complex:
@@ -403,9 +383,9 @@ def gram(domain: MultiTileDomain, l1, l2) -> complex:
     reach = max(np.abs(c.offsets * theta).sum(axis=1).max() for c in domain.cells)
     if reach > PHASE_LIMIT:  # theta is real, so <z_r, theta> cannot be reduced mod q
         raise SpecFormatError(f"gram: lattice phases of theta = {theta.tolist()} reach {reach:.3e} > PHASE_LIMIT")
-    regions = [np.exp(2j * np.pi * (c.offsets @ theta[:, None])) for c in domain.cells]
-    _, block = next(_piece_table(domain, np.zeros((1, domain.dimension), dtype=int), theta[None, :], regions))
-    return complex(block[0, 0])
+    weights = [np.exp(2j * np.pi * (c.offsets @ theta[:, None])).sum(axis=0)[None] for c in domain.cells]
+    _, block = next(_piece_table(domain, np.zeros((1, domain.dimension), dtype=int), 0, theta[None, None], weights))
+    return complex(block[0, 0, 0])
 
 
 def dual_eval(domain: MultiTileDomain, shifts: ShiftSet, n, s: int, points) -> np.ndarray:
@@ -445,14 +425,17 @@ def verify_biorthogonality(
     # rows p = (s1, s2): remainder delta*(j_s1 - j_s2); its lattice phases
     # (those of _phases at -jd, for the + sign) times conj(W[r, s2])
     jd = (js[:, None, :] - js[None, :, :]).reshape(k * k, -1)
-    regions = [
-        _phases(shifts.delta, shifts.q, -jd, c.offsets).T * np.tile(w.conj(), (1, k))
+    weights = [
+        (_phases(shifts.delta, shifts.q, -jd, c.offsets).T * np.tile(w.conj(), (1, k))).sum(axis=0)[None]
         for c, w in zip(domain.cells, duals)
     ]
-    ndiff = _label_grid(2 * radius, domain.dimension)
+    # rows run over -n for labels n of the radius-2r box; n = 0 is the middle row
+    zero = (4 * radius + 1) ** domain.dimension // 2
     worst = 0.0
-    for rows, vals in _piece_table(domain, ndiff, shifts.delta * jd, regions):
+    for rows, vals in _piece_table(domain, np.zeros((1, domain.dimension), dtype=int), 2 * radius,
+                                   shifts.delta * jd[None], weights):
         vals /= domain.measure
-        vals[np.flatnonzero(~ndiff[rows].any(axis=1)), ::k + 1] -= 1.0
+        if rows.start <= zero < rows.stop:
+            vals[0, zero - rows.start, ::k + 1] -= 1.0
         worst = max(worst, float(np.max(np.abs(vals))))
     return worst

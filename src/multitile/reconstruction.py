@@ -141,12 +141,12 @@ def coefficient_data(
         sum_{|n|_inf <= radius} <f, e_(n,s)> e_(n,s)(x),   x = M u,
 
     with the inner products evaluated in closed form by one batched
-    kernel table over all terms: each block holds every term's inner
-    products for a chunk of labels, at most CHUNK entries (but at least
-    one label), so no table is larger than terms x (2 radius + 1)^d x
-    k.  Each label's inner product adds the terms in the order of
-    coeffs.  As radius grows this converges to the exact data of
-    forward_data.
+    kernel table over all terms, the label box of radius `radius`
+    around each term's n: each block holds every term's inner products
+    for a chunk of labels, at most CHUNK entries (but at least one
+    label), formed from cells x CHUNK transient entries.  Each label's
+    inner product adds the terms in the order of coeffs.  As radius
+    grows this converges to the exact data of forward_data.
     """
     if radius < 0:
         raise SpecFormatError(f"radius must be nonnegative, got {radius}")
@@ -166,9 +166,9 @@ def coefficient_data(
     n_terms = np.array([n for n, _, _ in terms], dtype=int).reshape(-1, d)
     s_terms = np.array([s for _, s, _ in terms], dtype=int)
     jd = (js[s_terms, None, :] - js).reshape(-1, d)
-    regions = [_phases(delta, shifts.q, -jd, c.offsets).T for c in domain.cells]
+    weights = [_phases(delta, shifts.q, -jd, c.offsets).T.sum(axis=0).reshape(-1, k) for c in domain.cells]
     inner = np.zeros((len(labels), k), dtype=complex)
-    for rows, block in _piece_table(domain, n_terms[:, None, :] - labels, (delta * jd).reshape(-1, k, d), regions):
+    for rows, block in _piece_table(domain, n_terms, radius, (delta * jd).reshape(-1, k, d), weights):
         for (_, _, c), part in zip(terms, block):
             inner[rows] += c * part
     # e_(n,s)(x) = exp(2 pi i <u, n>) * exp(2 pi i <u, delta*j_s + eta>)

@@ -181,3 +181,22 @@ def large_offset_tilings(draw):
                        dtype=object)
     cells = [(box, (offsets + draw(st.tuples(*[big] * len(basis)))).tolist()) for box in boxes]
     return domain_of(basis.tolist(), cells)
+
+
+@st.composite
+def uniform_count_tilings(draw):
+    """A tiling as tilings() draws it whose offset trees have one child
+    count per level: the counts are drawn once per domain, and every
+    prefix of every cell gets its own set of that many child values, so
+    all cells share one shift index set."""
+    basis, boxes = _basis_and_boxes(draw)
+    counts = [draw(st.integers(1, 3)) for _ in range(len(basis))]
+
+    def offsets():
+        prefixes = [()]
+        for count in counts:
+            children = st.lists(st.integers(-4, 4), min_size=count, max_size=count, unique=True)
+            prefixes = [p + (z,) for p in prefixes for z in draw(children)]
+        return prefixes
+
+    return domain_of(basis.tolist(), [(box, offsets()) for box in boxes])

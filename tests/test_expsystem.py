@@ -1,9 +1,10 @@
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, strategies as st
+from hypothesis import assume, given, reject, strategies as st
 
 from multitile import (
     DimensionMismatch,
@@ -39,7 +40,7 @@ from multitile import expsystem
 from multitile.expsystem import _piece_table
 from multitile.vandermonde import COND_LIMIT, PHASE_LIMIT
 
-from builders import ALL, PERFECT, domain_of, mixed_2tile_2d, nested_values, tilings
+from builders import ALL, PERFECT, domain_of, mixed_2tile_2d, nested_values, tilings, uniform_count_tilings
 from oracles import block_sigmas_reference, cell_system_reference, gram_quadrature, piece_sum_reference
 
 SQ2 = np.sqrt(2.0)
@@ -171,6 +172,31 @@ def test_factored_bounds_sandwich_fixtures():
             assert cb.sigma_max**2 <= cb.factored_upper * (1 + 1e-9), name
 
 
+@given(uniform_count_tilings(), st.data())
+def test_factored_bounds_sandwich_uniform_child_counts(dom, data):
+    """With one child count per tree level, both factorized products
+    bound the exact ones, at any nonsingular spacing (up to the SVD's
+    absolute rounding near sigma_min)."""
+    delta = np.array(data.draw(st.tuples(*[st.floats(0.01, 0.99)] * dom.dimension)))
+    sh = make_shifts(dom, delta)
+    assert sh.uniform
+    assume(all(ps.dual is not None for ps in sh.systems))
+    for cb in riesz_bounds(dom, sh).cells:
+        assert cb.factored_lower <= cb.sigma_min**2 * (1 + 1e-9) + 1e-12 * cb.sigma_max**2
+        assert cb.sigma_max**2 <= cb.factored_upper * (1 + 1e-9)
+
+
+def test_factored_upper_below_sigma_max_with_unequal_child_counts():
+    """First coordinates 0, 1, 4 carry 2, 3 and 3 children: there the
+    factorized upper product (20) falls below sigma_max^2, so it is a
+    diagnostic, not a bound."""
+    offsets = [[1, 0], [1, 2], [1, 4], [4, 7], [4, 5], [4, 1], [0, 2], [0, 1]]
+    dom = domain_of([[1.0, 0.0], [0.0, 1.0]], [([[0, 1], [0, 1]], offsets)])
+    rb = riesz_bounds(dom, make_shifts(dom, check(dom, [1, 1], [5, 8])))
+    assert rb.beta == pytest.approx(22.59860979668091, rel=1e-12)
+    assert rb.cells[0].factored_upper == pytest.approx(20.0, rel=1e-12)
+
+
 def test_dual_worked_value():
     # quarter shift on the doubled interval, label (0, s=2) at y=1.25:
     # hand inverse of [[1,1],[1,-i]] gives the factor (1+i)
@@ -288,6 +314,20 @@ def test_biorthogonality_nonorthogonal_and_eta():
     assert verify_biorthogonality(dom, sh, radius=2) <= 1e-10
 
 
+def test_make_shifts_bounds_eta():
+    """make_shifts keeps an eta while |eta|_1 + max_s |delta*j_s|_1 is
+    within PHASE_LIMIT and refuses it, naming it, once that passes."""
+    dom = ALL["strip_3tile_2d"]()
+    cert = check(dom, [1, 1], [3, 1])
+    sh = make_shifts(dom, cert)
+    top = max(np.abs(np.array(j) * sh.delta).sum() for j in sh.index_sets[0])
+    below = math.floor(PHASE_LIMIT - top)
+    assert make_shifts(dom, cert, [0, -below]).eta_coords.tolist() == [0, -below]
+    for eta in ([below + 1, 0], [0, -below - 1], [below // 2 + 1, below // 2 + 1]):
+        with pytest.raises(SpecFormatError, match=rf"with eta = \[{eta[0]}, {eta[1]}\] gives phase arguments"):
+            make_shifts(dom, cert, eta)
+
+
 def test_eta_does_not_change_V():
     dom = ALL["strip_3tile_2d"]()
     cert = find_pair(dom)
@@ -332,12 +372,16 @@ REMAINDER = st.one_of(
 
 
 def _table(dom, n, f, weights=None):
-    """The piece table with the lattice phases of the remainders f,
-    times the weights when given, as its region factors."""
+    """The piece table, entry [g, p] for theta = n[g] + f[p]: every
+    label n[g] is a center of radius 0, weighted by the lattice phases
+    of the remainders f, times the weights when given, summed over each
+    cell's regions."""
     regions = [np.exp(2j * np.pi * (c.offsets @ f.T)) for c in dom.cells]
     if weights is not None:
         regions = [r * w for r, w in zip(regions, weights)]
-    return np.concatenate([block for _, block in _piece_table(dom, n, f, regions)])
+    sums = [np.tile(r.sum(axis=0), (len(n), 1)) for r in regions]
+    f = np.broadcast_to(f, (len(n), *f.shape))
+    return np.concatenate([block[:, 0] for _, block in _piece_table(dom, n, 0, f, sums)])
 
 
 def _close(got, ref, bound):
@@ -365,6 +409,36 @@ def test_piece_table_matches_reference(data):
             assert _close(plain[g, p], ref, dom.measure)
             ref = piece_sum_reference(dom.lattice.basis, cells, theta, weights[:, :, p])
             assert _close(weighted[g, p], ref, dom.measure * np.abs(weights).max())
+
+
+@given(st.data())
+def test_piece_table_boxes_match_reference(data):
+    """Every entry [b, g, p] of a table over label boxes is the piece
+    sum at theta = centers[b] - grid[g] + f[b, p], both at the default
+    CHUNK and at CHUNK = 5, where a table takes many blocks."""
+    dom = data.draw(tilings())
+    d, k = dom.dimension, dom.k
+    radius = data.draw(st.integers(0, 2))
+    centers = np.array(data.draw(st.lists(st.tuples(*[LABEL] * d), min_size=1, max_size=3)))
+    width = data.draw(st.integers(1, 3))
+    size = len(centers) * width
+    f = np.array(data.draw(st.lists(st.tuples(*[REMAINDER] * d), min_size=size, max_size=size)))
+    f = f.reshape(len(centers), width, d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    shape = (len(dom.cells), k, len(centers), width)
+    w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    weights = [(np.exp(2j * np.pi * (c.offsets @ f.reshape(-1, d).T)).reshape(wc.shape) * wc).sum(axis=0)
+               for c, wc in zip(dom.cells, w)]
+    grid = expsystem._label_grid(radius, d)
+    cells = [(c.box, c.offsets) for c in dom.cells]
+    ref = np.array([piece_sum_reference(dom.lattice.basis, cells, centers[b] - grid[g] + f[b, p], w[:, :, b, p])
+                    for b, g, p in np.ndindex(len(centers), len(grid), width)])
+    for chunk in (expsystem.CHUNK, 5):
+        with patch.object(expsystem, "CHUNK", chunk):
+            table = np.concatenate([block for _, block in _piece_table(dom, centers, radius, f, weights)], axis=1)
+        assert table.shape == (len(centers), len(grid), width)
+        for got, want in zip(table.ravel(), ref):
+            assert _close(got, want, dom.measure * np.abs(w).max())
 
 
 @given(st.data())

@@ -861,6 +861,26 @@ def test_cli_eta_over_phase_limit_exit_1(tmp_path):
         assert not (tmp_path / "s.csv").exists()
 
 
+def test_cli_eta_over_phase_limit_refused_by_make_shifts(tmp_path):
+    """Every command that builds shifts refuses such an eta before any
+    output, exit code 1, naming it: `shifts`, `bounds`, `verify` and
+    `synthesize` from the flag, `reconstruct` from the sample sidecar."""
+    strip = str(DOMAINS / "strip_3tile_2d.json")
+    want = ("error: the shift family with eta = [10000000000, 0] gives phase arguments up to "
+            "1.000e+10 on [0,1)^d, above 2.5e+05\n")
+    for command in ("shifts", "bounds", "verify"):
+        out = run_cli(command, "--domain", strip, "--eta", "10000000000,0")
+        assert (out.returncode, out.stdout, out.stderr) == (1, "", want), command
+    samples = tmp_path / "s.csv"
+    out = run_cli("synthesize", "--domain", strip, "--grid", "2", "--eta", "10000000000,0", "--out", str(samples))
+    assert (out.returncode, out.stderr) == (1, want) and not samples.exists()
+    assert run_cli("synthesize", "--domain", strip, "--grid", "2", "--out", str(samples)).returncode == 0
+    meta_path = tmp_path / "s.csv.meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "eta": [10**10, 0]}))
+    out = run_cli("reconstruct", "--domain", strip, "--samples", str(samples), "--out", str(tmp_path / "r.csv"))
+    assert (out.returncode, out.stderr) == (1, want)
+
+
 def test_cli_raw_spacing_over_phase_limit_exit_1(tmp_path):
     """A sidecar spacing with no v and q is refused, exit code 1, when
     its phases on the domain's offsets cannot be formed accurately."""

@@ -104,7 +104,7 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
     """Build the shift family and every cell's system for a spacing delta
     or a certificate, whose moduli q are kept for vandermonde._phases;
     cell_system, not this, refuses a singular cell.  SpecFormatError
-    names eta once |eta|_1 + max_s |delta*j_s|_1 passes PHASE_LIMIT."""
+    names eta and delta once |eta|_1 + max_s |delta*j_s|_1 passes PHASE_LIMIT."""
     q = None
     if isinstance(delta, AdmissibilityCertificate):
         delta, q = delta.delta, delta.q
@@ -127,13 +127,12 @@ def make_shifts(domain: MultiTileDomain, delta, eta=None) -> ShiftSet:
 
     trees = cell_trees(domain)
     index_sets = [shift_index_set(tree) for tree in trees]
-    # this bounds the phases of label n = 0 on [0,1)^d, as _unit_phases
-    # does; past PHASE_LIMIT the float shifts below lose their fractions
+    # bounds label n = 0's phases on [0,1)^d, as _unit_phases does; past it float shifts lose fractions
     top = max(np.abs(np.array(js) * delta).sum(axis=1).max() for js in index_sets)
     reach = np.abs(eta_coords.astype(float)).sum() + top
     if reach > PHASE_LIMIT:
         raise SpecFormatError(f"the shift family with eta = {eta_coords.tolist()} gives phase arguments up to "
-                              f"{reach:.3e} on [0,1)^d, above {PHASE_LIMIT:.1e}")
+                              f"{reach:.3e} on [0,1)^d, above {PHASE_LIMIT:.1e}; delta = {delta.tolist()} gives {top:.3e}")
     uniform = all(set(s) == set(index_sets[0]) for s in index_sets[1:])
     if uniform:
         index_sets = [index_sets[0]] * len(index_sets)
@@ -342,15 +341,14 @@ def _piece_table(domain: MultiTileDomain, centers, radius: int, f, weights):
     one-axis integrals (exp(tb) - exp(ta)) / t, t = 2 pi i theta_ax.
     On axis ax, theta_ax is centers[b, ax] + radius - i + f[b, p, ax],
     i = 0..2 radius: those are evaluated for all cells in one (cells,
-    B, 2 radius + 1, P) array, and every block gathers them by grid
-    coordinate and multiplies them across axes.  The per-cell product
-    behind a block holds cells x CHUNK entries; its cells are added in
-    cell order.
+    B, 2 radius + 1, P) array, built in place next to one more such
+    array; every block gathers them by grid coordinate, multiplies them
+    across axes into cells x CHUNK entries and adds the cells in order.
     """
     f = np.asarray(f, dtype=float)
     batch, width, d = f.shape
     lattice = domain.lattice.volume * np.asarray(weights)[:, :, None, :]
-    boxes = np.array([c.box for c in domain.cells])[:, None, None, None]
+    a, b = np.array([c.box for c in domain.cells]).T[..., None, None, None]  # [ax]: cell box ends
     index = _label_grid(radius, d).T + radius
     span = np.asarray(centers, dtype=int) + radius  # minus i along each axis
     factors = []
@@ -358,8 +356,12 @@ def _piece_table(domain: MultiTileDomain, centers, radius: int, f, weights):
         theta = (span[:, ax, None] - np.arange(2 * radius + 1))[:, :, None] + f[:, None, :, ax]
         tiny = np.abs(theta) < 1e-12
         t = 2j * np.pi * np.where(tiny, 1.0, theta)
-        a, b = boxes[..., ax, 0], boxes[..., ax, 1]
-        factors.append(np.where(tiny, b - a, (np.exp(t * b) - np.exp(t * a)) / t))
+        factor, lower = np.exp(t * b[ax]), t * a[ax]
+        factor -= np.exp(lower, out=lower)
+        del lower  # so no spare array outlives the build
+        factor /= t
+        np.copyto(factor, b[ax] - a[ax], where=tiny)
+        factors.append(factor)
     for rows in _chunks(index.shape[1], batch * width):
         part = lattice
         for ax in range(d):

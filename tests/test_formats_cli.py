@@ -863,11 +863,17 @@ def test_cli_eta_over_phase_limit_exit_1(tmp_path):
 
 def test_cli_eta_over_phase_limit_refused_by_make_shifts(tmp_path):
     """Every command that builds shifts refuses such an eta before any
-    output, exit code 1, naming it: `shifts`, `bounds`, `verify` and
-    `synthesize` from the flag, `reconstruct` from the sample sidecar."""
+    output, exit code 1, naming it and delta's share: `shifts`, `bounds`,
+    `verify` and `synthesize` from the flag, `reconstruct` from the
+    sample sidecar; and a certificate whose spacing alone passes the
+    limit, with no eta given, is named by its delta."""
     strip = str(DOMAINS / "strip_3tile_2d.json")
+    out = run_cli("shifts", "--domain", strip, "--v", "1000001,1", "--q", "3,1")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "", "error: the shift family with eta = [0, 0] gives phase arguments up to 6.667e+05 on [0,1)^d, "
+        "above 2.5e+05; delta = [333333.6666666667, 1.0] gives 6.667e+05\n")
     want = ("error: the shift family with eta = [10000000000, 0] gives phase arguments up to "
-            "1.000e+10 on [0,1)^d, above 2.5e+05\n")
+            "1.000e+10 on [0,1)^d, above 2.5e+05; delta = [0.3333333333333333, 1.0] gives 6.667e-01\n")
     for command in ("shifts", "bounds", "verify"):
         out = run_cli(command, "--domain", strip, "--eta", "10000000000,0")
         assert (out.returncode, out.stdout, out.stderr) == (1, "", want), command
